@@ -59,13 +59,17 @@ class ImmediateSnapshot {
     const int n_plus_1 = n_procs();
     for (int level = n_plus_1; level >= 1; --level) {
       detail::step_point();
-      levels_[ui].store(level, std::memory_order_release);
+      // seq_cst on the level store AND the collect loads: with release /
+      // acquire, two processes may each store their level and then both
+      // read the other's older value (store-load reordering), so neither
+      // sees the other and the containment property breaks.
+      levels_[ui].store(level, std::memory_order_seq_cst);
       std::vector<int> seen;
       seen.reserve(static_cast<std::size_t>(n_plus_1));
       for (int j = 0; j < n_plus_1; ++j) {
         detail::step_point();
-        const int lj =
-            levels_[static_cast<std::size_t>(j)].load(std::memory_order_acquire);
+        const int lj = levels_[static_cast<std::size_t>(j)].load(
+            std::memory_order_seq_cst);
         if (lj != kUnset && lj <= level) seen.push_back(j);
       }
       if (static_cast<int>(seen.size()) >= level) {

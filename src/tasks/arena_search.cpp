@@ -3,7 +3,7 @@
 #include <algorithm>
 #include <bit>
 #include <chrono>
-#include <map>
+#include <span>
 
 #include "common/assert.hpp"
 
@@ -54,9 +54,10 @@ class ArenaSearcher {
         m_(static_cast<std::uint32_t>(task.output().num_vertices())),
         words_((m_ + 63) / 64) {
     build_output_tables();
-    build_domains();
+    init_classes();
+    if (!build_domains()) return;
     build_constraints();
-    build_pair_tables();
+    pair_base_.assign(cls_carrier_.size(), kNoRows);
     snapshots_.resize(static_cast<std::size_t>(n_) * words_);
     scratch_row_.resize(words_);
     scratch_facets_.resize(facet_words_);
@@ -65,7 +66,7 @@ class ArenaSearcher {
   Solvability run(std::vector<VertexId>& out, std::uint64_t& nodes) {
     assignment_.assign(n_, kNoVertex);
     nodes_ = 0;
-    if (cancel_requested(*options_)) {
+    if (cancelled_ || cancel_requested(*options_)) {
       nodes = 0;
       return Solvability::kCancelled;
     }
@@ -81,22 +82,62 @@ class ArenaSearcher {
   }
 
  private:
+  static constexpr std::uint32_t kNoClass = ~std::uint32_t{0};
+  static constexpr std::size_t kNoRows = ~std::size_t{0};
+
   std::uint64_t* dom_row(VertexId v) {
     return domains_.data() + static_cast<std::size_t>(v) * words_;
   }
-  const std::uint64_t* pair_row(std::uint32_t cls, VertexId a) const {
-    return pair_[cls].data() + static_cast<std::size_t>(a) * words_;
+
+  /// pair row `a` of carrier class `cls`, bit b: {a, b} is a simplex of O
+  /// AND allows(carrier(cls), {a, b}).  Filled on first read: the search
+  /// only ever reads rows of values still in some domain, so most of the
+  /// |classes| x |O| rows are never built.  Each class owns a block of m
+  /// rows plus one word-row of "filled" bits in pair_pool_.
+  const std::uint64_t* pair_row(std::uint32_t cls, VertexId a) {
+    std::size_t base = pair_base_[cls];
+    if (base == kNoRows) {
+      base = pair_pool_.size();
+      pair_base_[cls] = base;
+      pair_pool_.resize(base + static_cast<std::size_t>(m_ + 1) * words_, 0);
+    }
+    std::uint64_t* rows = pair_pool_.data() + base;
+    std::uint64_t* filled = rows + static_cast<std::size_t>(m_) * words_;
+    std::uint64_t* row = rows + static_cast<std::size_t>(a) * words_;
+    if (test_bit(filled, a)) return row;
+    set_bit(filled, a);
+    carrier_.assign(cls_carrier_[cls].begin(), cls_carrier_[cls].end());
+    const std::uint64_t* compat_row =
+        compat_.data() + static_cast<std::size_t>(a) * words_;
+    for (std::size_t w = 0; w < words_; ++w) {
+      std::uint64_t bits = compat_row[w];
+      while (bits != 0) {
+        const VertexId b = static_cast<VertexId>(w * 64) +
+                           static_cast<VertexId>(std::countr_zero(bits));
+        bits &= bits - 1;
+        // The diagonal is never read: an edge's two ends differ in color,
+        // and so do the output values they range over.
+        if (b == a) continue;
+        bool ok;
+        if (test_bit(filled, b)) {
+          // The relation is symmetric: row b already holds the answer.
+          ok = test_bit(rows + static_cast<std::size_t>(b) * words_, a);
+        } else {
+          edge_.assign({std::min(a, b), std::max(a, b)});
+          ok = task_->allows(carrier_, edge_);
+        }
+        if (ok) set_bit(row, b);
+      }
+    }
+    return row;
   }
 
   void build_output_tables() {
     // compat_[a] bit b <=> {a, b} is a simplex of O: any pair inside a
-    // facet, plus the diagonal (matches the legacy compat_ matrix).
+    // facet.
     compat_.assign(static_cast<std::size_t>(m_) * words_, 0);
     out_colors_.resize(m_);
-    for (VertexId w = 0; w < m_; ++w) {
-      out_colors_[w] = out_->vertex(w).color;
-      set_bit(compat_.data() + static_cast<std::size_t>(w) * words_, w);
-    }
+    for (VertexId w = 0; w < m_; ++w) out_colors_[w] = out_->vertex(w).color;
     const auto& facets = out_->facets();
     const std::uint32_t n_facets = static_cast<std::uint32_t>(facets.size());
     facet_words_ = (n_facets + 63) / 64 == 0 ? 1 : (n_facets + 63) / 64;
@@ -110,44 +151,103 @@ class ArenaSearcher {
         }
       }
     }
-  }
 
-  void build_domains() {
-    domains_.assign(static_cast<std::size_t>(n_) * words_, 0);
-    dom_count_.assign(n_, 0);
-    const auto colors = in_->colors();
-    Simplex bc;
-    Simplex single(1);
-    for (VertexId v = 0; v < n_; ++v) {
-      const auto bc_span = in_->base_carrier(v);
-      bc.assign(bc_span.begin(), bc_span.end());
-      std::uint64_t* row = dom_row(v);
-      for (VertexId w = 0; w < m_; ++w) {
-        if (out_colors_[w] != static_cast<Color>(colors[v])) continue;
-        single[0] = w;
-        if (!task_->allows(bc, single)) continue;
-        set_bit(row, w);
-        ++dom_count_[v];
-      }
+    // Output vertices by color (CSR): a domain row scans one color only.
+    out_by_color_idx_.assign(kMaxColors + 1, 0);
+    for (VertexId w = 0; w < m_; ++w) {
+      ++out_by_color_idx_[out_colors_[w] + 1];
+    }
+    for (int c = 0; c < kMaxColors; ++c) {
+      out_by_color_idx_[c + 1] += out_by_color_idx_[c];
+    }
+    out_by_color_pool_.resize(m_);
+    std::vector<std::uint32_t> cursor(out_by_color_idx_.begin(),
+                                      out_by_color_idx_.end() - 1);
+    for (VertexId w = 0; w < m_; ++w) {
+      out_by_color_pool_[cursor[out_colors_[w]]++] = w;
     }
   }
 
+  /// Carrier classes: one id per distinct base carrier of a vertex or a
+  /// face, interned by hashing the arena's carrier span (open addressing,
+  /// collisions settled by comparing spans).  The spans point into the
+  /// arena, so interning allocates nothing per vertex or face.
+  void init_classes() {
+    std::size_t slots = 64;
+    const std::size_t keys =
+        static_cast<std::size_t>(n_) + in_->num_faces();
+    while (slots < 2 * keys) slots <<= 1;
+    cls_slots_.assign(slots, kNoClass);
+  }
+
+  std::uint32_t intern_class(std::span<const VertexId> carrier) {
+    std::uint64_t h = 0xcbf29ce484222325ull ^ carrier.size();
+    for (VertexId x : carrier) h = (h ^ x) * 0x100000001b3ull;
+    h ^= h >> 32;
+    const std::size_t mask = cls_slots_.size() - 1;
+    for (std::size_t i = h & mask;; i = (i + 1) & mask) {
+      const std::uint32_t cls = cls_slots_[i];
+      if (cls == kNoClass) {
+        cls_slots_[i] = static_cast<std::uint32_t>(cls_carrier_.size());
+        cls_carrier_.push_back(carrier);
+        return cls_slots_[i];
+      }
+      if (std::ranges::equal(cls_carrier_[cls], carrier)) return cls;
+    }
+  }
+
+  /// Domains: one row per (carrier class, color), computed when the pair
+  /// first occurs and copied to every later vertex of that class and
+  /// color.  Checks for cancellation once per new class; returns false
+  /// (and sets cancelled_) when the search should not start.
+  bool build_domains() {
+    domains_.assign(static_cast<std::size_t>(n_) * words_, 0);
+    dom_count_.assign(n_, 0);
+    const auto colors = in_->colors();
+    const std::size_t n_colors = static_cast<std::size_t>(in_->n_colors());
+    // first[cls * n_colors + color]: the vertex whose row is the domain
+    // of that (class, color), or kNoVertex before it first occurs.
+    std::vector<VertexId> first;
+    Simplex single(1);
+    for (VertexId v = 0; v < n_; ++v) {
+      const std::uint32_t cls = intern_class(in_->base_carrier(v));
+      if (cls * n_colors >= first.size()) {
+        if (cancel_requested(*options_)) {
+          cancelled_ = true;
+          return false;
+        }
+        first.resize((cls + 1) * n_colors, kNoVertex);
+      }
+      const std::size_t color = colors[v];
+      VertexId& src = first[cls * n_colors + color];
+      std::uint64_t* row = dom_row(v);
+      if (src != kNoVertex) {
+        std::copy(dom_row(src), dom_row(src) + words_, row);
+        dom_count_[v] = dom_count_[src];
+        continue;
+      }
+      src = v;
+      carrier_.assign(cls_carrier_[cls].begin(), cls_carrier_[cls].end());
+      for (std::uint32_t k = out_by_color_idx_[color];
+           k < out_by_color_idx_[color + 1]; ++k) {
+        single[0] = out_by_color_pool_[k];
+        if (!task_->allows(carrier_, single)) continue;
+        set_bit(row, single[0]);
+        ++dom_count_[v];
+      }
+    }
+    return true;
+  }
+
   void build_constraints() {
-    // Carrier classes: one id per distinct face base-carrier.  The arena
+    // Face carrier classes share the vertex classes' id space.  The arena
     // face table holds every deduplicated face of size >= 2 in the same
     // first-emission order the legacy engine enumerates, so constraint
     // indices line up with face indices.
     const std::uint32_t n_faces = in_->num_faces();
     face_cls_.resize(n_faces);
-    std::map<Simplex, std::uint32_t> cls_ids;
     for (std::uint32_t fi = 0; fi < n_faces; ++fi) {
-      const auto bc = in_->face_base_carrier(fi);
-      Simplex key(bc.begin(), bc.end());
-      const auto [it, inserted] =
-          cls_ids.emplace(std::move(key), static_cast<std::uint32_t>(
-                                              cls_ids.size()));
-      if (inserted) cls_carrier_.push_back(it->first);
-      face_cls_[fi] = it->second;
+      face_cls_[fi] = intern_class(in_->face_base_carrier(fi));
     }
 
     // by_vertex CSR: face ids containing v, ascending.
@@ -175,10 +275,7 @@ class ArenaSearcher {
       if (f.size() != 2) continue;
       ++ncounts[f[0] + 1];
       ++ncounts[f[1] + 1];
-      pair_needed_.resize(cls_carrier_.size());
-      pair_needed_[face_cls_[fi]] = true;
     }
-    pair_needed_.resize(cls_carrier_.size());
     nbr_idx_.assign(ncounts.begin(), ncounts.end());
     for (std::size_t i = 1; i < nbr_idx_.size(); ++i) {
       nbr_idx_[i] += nbr_idx_[i - 1];
@@ -195,42 +292,22 @@ class ArenaSearcher {
     }
   }
 
-  void build_pair_tables() {
-    // pair_[cls] row a, bit b: {a, b} is a simplex of O AND
-    // allows(carrier(cls), {a, b}).  Computed once; the search never calls
-    // the allows oracle on an edge again.
-    pair_.resize(cls_carrier_.size());
-    Simplex edge;
-    for (std::uint32_t cls = 0; cls < cls_carrier_.size(); ++cls) {
-      if (!pair_needed_[cls]) continue;
-      auto& table = pair_[cls];
-      table.assign(static_cast<std::size_t>(m_) * words_, 0);
-      const Simplex& carrier = cls_carrier_[cls];
-      for (VertexId a = 0; a < m_; ++a) {
-        const std::uint64_t* compat_row =
-            compat_.data() + static_cast<std::size_t>(a) * words_;
-        for (VertexId b = a; b < m_; ++b) {
-          if (!test_bit(compat_row, b)) continue;
-          edge.clear();
-          edge.push_back(a);
-          if (b != a) edge.push_back(b);
-          if (!task_->allows(carrier, edge)) continue;
-          set_bit(table.data() + static_cast<std::size_t>(a) * words_, b);
-          set_bit(table.data() + static_cast<std::size_t>(b) * words_, a);
-        }
-      }
-    }
-  }
-
   /// Exact check of every face constraint containing v whose members are
   /// all assigned: the image must be a simplex of O (facet-bitset AND)
-  /// allowed for the face's carrier class.
+  /// allowed for the face's carrier class.  Edges read the pair rows.
   bool faces_consistent(VertexId v) {
     const std::uint32_t begin = by_vertex_idx_[v];
     const std::uint32_t end = by_vertex_idx_[v + 1];
     for (std::uint32_t k = begin; k < end; ++k) {
       const std::uint32_t fi = by_vertex_pool_[k];
       const auto face = in_->face(fi);
+      if (face.size() == 2) {
+        const VertexId a = assignment_[face[0]];
+        const VertexId b = assignment_[face[1]];
+        if (a == kNoVertex || b == kNoVertex) continue;
+        if (!test_bit(pair_row(face_cls_[fi], a), b)) return false;
+        continue;
+      }
       image_.clear();
       bool all_assigned = true;
       for (VertexId u : face) {
@@ -264,7 +341,9 @@ class ArenaSearcher {
         }
       }
       if (!contained) return false;
-      if (!task_->allows(cls_carrier_[face_cls_[fi]], image_)) return false;
+      const auto carrier = cls_carrier_[face_cls_[fi]];
+      carrier_.assign(carrier.begin(), carrier.end());
+      if (!task_->allows(carrier_, image_)) return false;
     }
     return true;
   }
@@ -436,7 +515,11 @@ class ArenaSearcher {
   std::size_t words_;
   std::size_t facet_words_ = 1;
 
+  bool cancelled_ = false;
+
   std::vector<Color> out_colors_;
+  std::vector<std::uint32_t> out_by_color_idx_;
+  std::vector<VertexId> out_by_color_pool_;
   std::vector<std::uint64_t> compat_;
   std::vector<std::uint64_t> facet_bits_;
 
@@ -444,14 +527,15 @@ class ArenaSearcher {
   std::vector<std::uint32_t> dom_count_;
   std::vector<VertexId> assignment_;
 
+  std::vector<std::uint32_t> cls_slots_;
+  std::vector<std::span<const VertexId>> cls_carrier_;
   std::vector<std::uint32_t> face_cls_;
-  std::vector<Simplex> cls_carrier_;
-  std::vector<bool> pair_needed_;
   std::vector<std::uint32_t> by_vertex_idx_;
   std::vector<std::uint32_t> by_vertex_pool_;
   std::vector<std::uint32_t> nbr_idx_;
   std::vector<Arc> nbr_pool_;
-  std::vector<std::vector<std::uint64_t>> pair_;
+  std::vector<std::size_t> pair_base_;
+  std::vector<std::uint64_t> pair_pool_;
 
   std::vector<Item> queue_;
   std::vector<Removed> trail_;
@@ -459,6 +543,8 @@ class ArenaSearcher {
   std::vector<std::uint64_t> scratch_row_;
   std::vector<std::uint64_t> scratch_facets_;
   Simplex image_;
+  Simplex carrier_;
+  Simplex edge_;
 };
 
 }  // namespace
@@ -468,6 +554,10 @@ Solvability arena_search(const Task& task, const topo::Arena& arena,
                          std::vector<VertexId>& decision,
                          std::uint64_t& nodes) {
   WFC_REQUIRE(arena.valid(), "arena_search: invalid arena");
+  if (cancel_requested(options)) {
+    nodes = 0;
+    return Solvability::kCancelled;
+  }
   ArenaSearcher searcher(task, arena, options);
   return searcher.run(decision, nodes);
 }

@@ -4,9 +4,15 @@
 //
 //   * domains are per-vertex bitmask words (one bit per output vertex), so
 //     AC-3 support checks are word-wide ANDs instead of nested scans;
-//   * the edge-constraint `allows` oracle is precomputed ONCE per distinct
-//     face carrier (a "carrier class") into a pair-allowed bitmatrix --
-//     the search itself never calls Task::allows on edges;
+//   * vertices and faces are grouped into carrier classes (one per
+//     distinct base carrier, interned by hashing the arena's carrier span);
+//     a domain row is computed once per (class, color) and copied to every
+//     vertex that shares it;
+//   * the edge-constraint `allows` oracle is cached per class in a
+//     pair-allowed bitmatrix whose rows are filled on first read, so only
+//     the rows of values AC-3 or branching actually test ever cost an
+//     oracle call -- cheap for the search, and a cancelled or quickly
+//     refuted level pays for almost none of the |classes| x |O|^2 table;
 //   * output facet membership is a bitset per output vertex, so the
 //     contains_simplex check on a fully-assigned face is a word-wide AND;
 //   * face/constraint/neighbour tables are CSR spans over dense uint32 ids

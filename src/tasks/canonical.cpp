@@ -82,12 +82,15 @@ std::string ConsensusTask::name() const {
 }
 
 bool ConsensusTask::allows(const Simplex& in, const Simplex& out) const {
-  std::set<int> in_values;
-  for (VertexId v : in) in_values.insert(in_value_[v]);
-  std::set<int> decided;
-  for (VertexId v : out) decided.insert(out_value_[v]);
-  if (decided.empty()) return true;
-  return decided.size() == 1 && in_values.count(*decided.begin()) > 0;
+  if (out.empty()) return true;
+  const int decided = out_value_[out[0]];
+  for (VertexId v : out) {
+    if (out_value_[v] != decided) return false;  // agreement
+  }
+  for (VertexId v : in) {
+    if (in_value_[v] == decided) return true;  // validity
+  }
+  return false;
 }
 
 // ---------------------------------------------------------------------------
@@ -136,14 +139,14 @@ std::string KSetConsensusTask::name() const {
 }
 
 bool KSetConsensusTask::allows(const Simplex& in, const Simplex& out) const {
-  ColorSet participating = input_.colors_of(in);  // ids == colors here
-  std::set<int> decided;
+  const ColorSet participating = input_.colors_of(in);  // ids == colors here
+  ColorSet decided;
   for (VertexId v : out) {
     const int id = out_id_[v];
     if (!participating.contains(id)) return false;  // must adopt a participant
-    decided.insert(id);
+    decided = decided.with(id);
   }
-  return static_cast<int>(decided.size()) <= k_;
+  return decided.size() <= k_;
 }
 
 // ---------------------------------------------------------------------------
@@ -189,9 +192,11 @@ std::string RenamingTask::name() const {
 }
 
 bool RenamingTask::allows(const Simplex& /*in*/, const Simplex& out) const {
-  std::set<int> names;
-  for (VertexId v : out) {
-    if (!names.insert(out_name_[v]).second) return false;
+  // |out| <= n_procs, so the pairwise scan beats building a set.
+  for (std::size_t i = 0; i < out.size(); ++i) {
+    for (std::size_t j = 0; j < i; ++j) {
+      if (out_name_[out[i]] == out_name_[out[j]]) return false;
+    }
   }
   return true;
 }

@@ -93,8 +93,8 @@ using LevelRestrictor =
 /// Which backtracking engine runs the Prop 3.1 search.  Both explore the
 /// identical search tree (same variable/value order, same AC-3 fixpoints)
 /// and return identical verdicts, decisions, and node counts; kArena walks
-/// flat topo::Arena spans with bitmask domains and precomputed pair tables
-/// (tasks/arena_search.cpp), kLegacy walks the pointer-based
+/// flat topo::Arena spans with bitmask domains and lazily filled pair
+/// tables (tasks/arena_search.cpp), kLegacy walks the pointer-based
 /// ChromaticComplex and is kept as the reference/baseline engine.
 enum class SolveEngine {
   kArena,

@@ -211,10 +211,46 @@ class HashMap {
   // A pending insert published for helping.  `result` is a tagged Node*
   // (bit 0 set = the key already existed) so outcome and provenance
   // commit in one CAS; tomb() as result encodes "table full".
+  //
+  // `copies` lists every node a helper allocated for this op, pushed
+  // BEFORE the node's slot CAS, so a helper whose probe finds a node can
+  // tell the op's own copy (an insert) from a pre-existing key.  Only a
+  // helper whose result CAS then wins acts on that answer, and it can win
+  // only while the announcer still waits with its guard pinned, so no
+  // listed copy has been freed and its address reused by then.
+  struct Copy {
+    const Node* node;
+    Copy* next;
+  };
   struct AnnounceOp {
     std::size_t home;
     const Node* proto;  // owned by the announcer; helpers install copies
     std::atomic<std::uintptr_t> result{0};
+    std::atomic<Copy*> copies{nullptr};
+
+    ~AnnounceOp() {
+      for (Copy* c = copies.load(std::memory_order_relaxed); c != nullptr;) {
+        Copy* next = c->next;
+        delete c;
+        c = next;
+      }
+    }
+
+    void push_copy(const Node* n) {
+      auto* c = new Copy{n, copies.load(std::memory_order_relaxed)};
+      while (!copies.compare_exchange_weak(c->next, c,
+                                           std::memory_order_release,
+                                           std::memory_order_relaxed)) {
+      }
+    }
+
+    [[nodiscard]] bool is_copy(const Node* n) const {
+      for (const Copy* c = copies.load(std::memory_order_acquire);
+           c != nullptr; c = c->next) {
+        if (c->node == n) return true;
+      }
+      return false;
+    }
   };
   static constexpr std::size_t kAnnounceSlots = 64;
   static constexpr std::uintptr_t kFoundTag = 1;
@@ -283,29 +319,30 @@ class HashMap {
       if (r != 0) return decode(r, found_existing);
 
       Node* fresh = new Node(*op->proto);
+      op->push_copy(fresh);
       ProbeResult pr = probe_install(op->home, fresh->key, fresh, nullptr);
       Node* outcome = nullptr;
       bool found = false;
       bool installed = false;
       switch (pr.outcome) {
         case ProbeOutcome::kFound:
-          delete fresh;
+          // Never installed, but listed: retire rather than free, so its
+          // address cannot come back as another insert's node and pass
+          // is_copy while this op is pending.
+          Epoch::global().retire(fresh);
           outcome = pr.node;
-          found = true;
+          // Another helper's copy of this op is this op's insert.
+          found = !op->is_copy(outcome);
           break;
         case ProbeOutcome::kInstalled: {
           Node* winner = resolve_dup(op->home, pr.idx, fresh);
-          if (winner == fresh) {
-            outcome = fresh;
-            installed = true;
-          } else {
-            outcome = winner;  // our copy already unlinked by resolve_dup
-            found = true;
-          }
+          outcome = winner;  // if not ours, ours is already unlinked
+          installed = winner == fresh;
+          found = !op->is_copy(winner);
           break;
         }
         case ProbeOutcome::kFull:
-          delete fresh;
+          Epoch::global().retire(fresh);
           outcome = tomb();
           break;
         case ProbeOutcome::kBudget:
@@ -321,9 +358,11 @@ class HashMap {
         if (found_existing != nullptr) *found_existing = found;
         return outcome == tomb() ? nullptr : outcome;
       }
-      // Someone else committed first; retract our redundant copy.
-      if (installed) options_.unlink(pr.idx, outcome);
-      return decode(expect, found_existing);
+      // Someone else committed first.  Retract our copy unless it IS the
+      // committed node (another helper found it and committed it).
+      Node* committed = decode(expect, found_existing);
+      if (installed && committed != outcome) options_.unlink(pr.idx, outcome);
+      return committed;
     }
   }
 

@@ -14,13 +14,23 @@
 //      task families.  (Same discipline as chain_reuse_test: any
 //      divergence in the exact node count means the rewrite changed the
 //      search, not just its memory layout.)
+//
+// The arena engine builds only the Delta tables the search reads: domain
+// rows once per (carrier class, color), pair rows on first read.  A
+// counting Task decorator pins how many `allows` calls that costs, and
+// that a cancelled search pays for none of it.
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <cstdint>
 #include <cstring>
 #include <memory>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
+#include "model/model.hpp"
+#include "model/solve.hpp"
 #include "tasks/canonical.hpp"
 #include "tasks/solvability.hpp"
 #include "topology/arena.hpp"
@@ -143,15 +153,49 @@ struct Case {
   int max_level;
 };
 
+/// The canonical families plus every instance the solve_warm serving
+/// workload sends (perfbench/cpp/workloads.cpp), each up to its level.
 std::vector<Case> canonical_cases() {
   std::vector<Case> cases;
-  cases.push_back({std::make_shared<ConsensusTask>(2, 2), 2});
+  for (int m = 2; m <= 12; ++m) {
+    cases.push_back({std::make_shared<ConsensusTask>(2, m), 2});
+  }
+  cases.push_back({std::make_shared<ConsensusTask>(3, 2), 1});
+  cases.push_back({std::make_shared<ConsensusTask>(3, 3), 1});
+  cases.push_back({std::make_shared<KSetConsensusTask>(2, 1), 2});
   cases.push_back({std::make_shared<KSetConsensusTask>(3, 2), 1});
+  cases.push_back({std::make_shared<KSetConsensusTask>(3, 3), 1});
   cases.push_back({std::make_shared<RenamingTask>(2, 2), 2});
-  cases.push_back({std::make_shared<ApproxAgreementTask>(2, 3), 2});
-  cases.push_back({std::make_shared<ApproxAgreementTask>(2, 9), 2});
+  cases.push_back({std::make_shared<RenamingTask>(2, 3), 2});
+  cases.push_back({std::make_shared<RenamingTask>(2, 5), 2});
+  cases.push_back({std::make_shared<RenamingTask>(3, 4), 1});
+  cases.push_back({std::make_shared<RenamingTask>(3, 6), 1});
+  for (int g : {3, 4, 6, 8, 9, 12}) {
+    cases.push_back({std::make_shared<ApproxAgreementTask>(2, g), 2});
+  }
+  cases.push_back({std::make_shared<ApproxAgreementTask>(3, 2), 1});
+  cases.push_back({std::make_shared<ApproxAgreementTask>(3, 3), 2});
+  cases.push_back({std::make_shared<ApproxAgreementTask>(3, 4), 2});
   cases.push_back({std::make_shared<IdentityTask>(topo::base_simplex(3)), 1});
+  cases.push_back({std::make_shared<SimplexAgreementTask>(
+                       2, topo::iterated_sds(topo::base_simplex(2), 2)),
+                   2});
   return cases;
+}
+
+void expect_engines_agree(const Task& task, int level,
+                          const SolveOptions& base) {
+  SolveOptions arena_opts = base;
+  arena_opts.engine = SolveEngine::kArena;
+  SolveOptions legacy_opts = base;
+  legacy_opts.engine = SolveEngine::kLegacy;
+  const SolveResult a = solve_at_level(task, level, arena_opts);
+  const SolveResult l = solve_at_level(task, level, legacy_opts);
+  EXPECT_EQ(a.status, l.status);
+  EXPECT_EQ(a.level, l.level);
+  EXPECT_EQ(a.nodes_explored, l.nodes_explored)
+      << "engines explored different trees";
+  EXPECT_EQ(a.decision, l.decision);
 }
 
 TEST(ArenaSearch, MatchesLegacyEngineExactly) {
@@ -159,19 +203,96 @@ TEST(ArenaSearch, MatchesLegacyEngineExactly) {
     SCOPED_TRACE(c.task->name());
     for (int level = 0; level <= c.max_level; ++level) {
       SCOPED_TRACE("level=" + std::to_string(level));
-      SolveOptions arena_opts;
-      arena_opts.engine = SolveEngine::kArena;
-      SolveOptions legacy_opts;
-      legacy_opts.engine = SolveEngine::kLegacy;
-      const SolveResult a = solve_at_level(*c.task, level, arena_opts);
-      const SolveResult l = solve_at_level(*c.task, level, legacy_opts);
-      EXPECT_EQ(a.status, l.status);
-      EXPECT_EQ(a.level, l.level);
-      EXPECT_EQ(a.nodes_explored, l.nodes_explored)
-          << "engines explored different trees";
-      EXPECT_EQ(a.decision, l.decision);
+      expect_engines_agree(*c.task, level, SolveOptions{});
     }
   }
+  // Restricted levels renumber vertices and drop faces, so carrier classes
+  // and pair rows are built over a different face table than the full level.
+  SolveOptions restricted;
+  restricted.restrictor =
+      model::make_restrictor(model::Model::parse("t_resilient(1)"));
+  const std::vector<Case> model_cases = {
+      {std::make_shared<KSetConsensusTask>(3, 2), 1},
+      {std::make_shared<RenamingTask>(3, 5), 1},
+      {std::make_shared<ConsensusTask>(2, 3), 2},
+  };
+  for (const Case& c : model_cases) {
+    SCOPED_TRACE(c.task->name() + " t_resilient(1)");
+    for (int level = 0; level <= c.max_level; ++level) {
+      SCOPED_TRACE("level=" + std::to_string(level));
+      expect_engines_agree(*c.task, level, restricted);
+    }
+  }
+}
+
+/// Forwards to a task and counts its `allows` calls.
+class CountingTask final : public Task {
+ public:
+  explicit CountingTask(const Task& inner) : inner_(&inner) {}
+  const topo::ChromaticComplex& input() const override {
+    return inner_->input();
+  }
+  const topo::ChromaticComplex& output() const override {
+    return inner_->output();
+  }
+  std::string name() const override { return inner_->name(); }
+  bool allows(const topo::Simplex& in,
+              const topo::Simplex& out) const override {
+    ++calls_;
+    return inner_->allows(in, out);
+  }
+  std::uint64_t calls() const { return calls_; }
+
+ private:
+  const Task* inner_;
+  mutable std::uint64_t calls_ = 0;
+};
+
+TEST(ArenaSearch, AllowsCallsFollowWhatTheSearchReads) {
+  // consensus(2, m=12) at level 2.  I has 2m = 24 vertices and m^2 = 144
+  // edges; SDS^2 subdivides each edge into 9, so the arena has
+  // 24 + 8 * 144 = 1176 vertices and 9 * 144 = 1296 edge faces.
+  //
+  //   domains: one row per (carrier class, color), m calls each --
+  //            24 vertex carriers x 1 color + 144 edge carriers x 2 colors
+  //            = 312 rows, 312 * 12 = 3744 calls (one per vertex would be
+  //            1176 * 12 = 14112);
+  //   pairs:   rows are filled only when root AC-3 reads them, and it
+  //            wipes out (no branching, zero nodes) once it has walked the
+  //            m edge carriers {(0,x), (1,m-1)}: their domains hold values
+  //            x and m-1, output vertex (p, v) is compatible only with
+  //            (1-p, v), and the second row of a symmetric pair is read
+  //            off the first, so a carrier costs one call per value --
+  //            2 for each x != m-1 and 1 for x = m-1, = 2m - 1 = 23 calls
+  //            (filling every row of every class would be
+  //            144 * (24 + 12) = 5184 calls, diagonal included).
+  const ConsensusTask consensus(2, 12);
+  const CountingTask counting(consensus);
+  const SolveResult r = solve_at_level(counting, 2);
+  EXPECT_EQ(r.status, Solvability::kUnsolvable);
+  EXPECT_EQ(r.nodes_explored, 0u);
+  EXPECT_EQ(counting.calls(), 3744u + 23u);
+}
+
+TEST(ArenaSearch, CancelledSearchBuildsNoTables) {
+  const ConsensusTask consensus(2, 12);
+  const CountingTask counting(consensus);
+  const std::atomic<bool> cancel{true};
+  SolveOptions options;
+  options.cancel = &cancel;
+  const SolveResult r = solve_at_level(counting, 2, options);
+  EXPECT_EQ(r.status, Solvability::kCancelled);
+  EXPECT_EQ(r.nodes_explored, 0u);
+  EXPECT_LE(counting.calls(), 4u);
+
+  // A deadline already in the past is the same interrupt.
+  const CountingTask late(consensus);
+  SolveOptions expired;
+  expired.deadline = std::chrono::steady_clock::now();
+  const SolveResult d = solve_at_level(late, 2, expired);
+  EXPECT_EQ(d.status, Solvability::kCancelled);
+  EXPECT_EQ(d.nodes_explored, 0u);
+  EXPECT_LE(late.calls(), 4u);
 }
 
 TEST(ArenaSearch, MatchesLegacyUnderBudgetExhaustion) {

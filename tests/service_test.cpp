@@ -476,11 +476,12 @@ TEST(Frontend, InternedTaskTableIsBounded) {
   HandlerConfig config;
   config.max_interned_tasks = 8;
   RequestHandler handler(service, config);
-  // 64 distinct task parameterizations; "budget":1 makes each search abort
-  // immediately so the test measures interning, not solving.
+  // 64 distinct task parameterizations.  "max_level":0 keeps each solve to
+  // the level-0 search over I itself, so the test measures interning, not
+  // solving ("budget" bounds search nodes, not the per-level table build).
   for (int i = 0; i < 64; ++i) {
     RequestHandler::ParsedLine parsed = handler.parse(
-        R"({"op":"solve","task":"consensus","procs":2,"budget":1,"values":)" +
+        R"({"op":"solve","task":"consensus","procs":2,"max_level":0,"values":)" +
             std::to_string(2 + i) + "}",
         i + 1);
     ASSERT_EQ(parsed.action, RequestHandler::Action::kSubmit);
@@ -495,7 +496,7 @@ TEST(Frontend, InternedTaskTableIsBounded) {
   // A repeated request re-interns to the SAME object (LRU hit), keeping
   // result-memo identity across lines.
   RequestHandler::ParsedLine again = handler.parse(
-      R"({"op":"solve","task":"consensus","procs":2,"budget":1,"values":65})",
+      R"({"op":"solve","task":"consensus","procs":2,"max_level":0,"values":65})",
       65);
   RequestHandler::Rendered error;
   std::optional<RequestHandler::Submitted> submitted =
