@@ -2,7 +2,9 @@
 
 namespace wfc::proto {
 
-SdsChain::SdsChain(topo::ChromaticComplex input, int depth) : depth_(depth) {
+SdsChain::SdsChain(topo::ChromaticComplex input, int depth,
+                   const topo::StopPredicate& stop)
+    : depth_(depth) {
   WFC_REQUIRE(depth >= 0, "SdsChain: negative depth");
   levels_.resize(static_cast<std::size_t>(depth) + 1);
   arenas_.resize(static_cast<std::size_t>(depth) + 1);
@@ -12,11 +14,13 @@ SdsChain::SdsChain(topo::ChromaticComplex input, int depth) : depth_(depth) {
     levels_[static_cast<std::size_t>(r)] =
         std::make_shared<const topo::ChromaticComplex>(
             topo::standard_chromatic_subdivision(
-                *levels_[static_cast<std::size_t>(r) - 1]));
+                *levels_[static_cast<std::size_t>(r) - 1], stop));
   }
 }
 
-SdsChain::SdsChain(const SdsChain& other, int depth) : depth_(depth) {
+SdsChain::SdsChain(const SdsChain& other, int depth,
+                   const topo::StopPredicate& stop)
+    : depth_(depth) {
   WFC_REQUIRE(depth >= 0, "SdsChain: negative depth");
   const int shared = std::min(depth, other.depth_);
   levels_.resize(static_cast<std::size_t>(depth) + 1);
@@ -37,7 +41,7 @@ SdsChain::SdsChain(const SdsChain& other, int depth) : depth_(depth) {
     const topo::ChromaticComplex& below = ensure_level(r - 1);
     levels_[static_cast<std::size_t>(r)] =
         std::make_shared<const topo::ChromaticComplex>(
-            topo::standard_chromatic_subdivision(below));
+            topo::standard_chromatic_subdivision(below, stop));
   }
 }
 

@@ -48,14 +48,19 @@ class ChainBacking {
 
 class SdsChain {
  public:
-  /// Builds levels 0..depth eagerly; level r is SDS^r(input).
-  SdsChain(topo::ChromaticComplex input, int depth);
+  /// Builds levels 0..depth eagerly; level r is SDS^r(input).  Each
+  /// subdivision polls `stop` once per facet and throws topo::BuildStopped
+  /// when it fires; no chain is constructed then.
+  SdsChain(topo::ChromaticComplex input, int depth,
+           const topo::StopPredicate& stop = {});
 
   /// Shares levels with `other`: levels 0..min(depth, other.depth()) are the
   /// same objects (no copy, no recomputation); levels beyond other.depth()
-  /// are freshly subdivided.  Both extension (depth > other.depth()) and
-  /// truncation (depth < other.depth()) are O(shared levels) pointer copies.
-  SdsChain(const SdsChain& other, int depth);
+  /// are freshly subdivided, polling `stop` as above.  Both extension
+  /// (depth > other.depth()) and truncation (depth < other.depth()) are
+  /// O(shared levels) pointer copies.
+  SdsChain(const SdsChain& other, int depth,
+           const topo::StopPredicate& stop = {});
 
   /// Adopts pre-serialized levels; depth() == backing->depth().  Levels
   /// materialize lazily, arenas are zero-copy views into the backing.

@@ -611,12 +611,16 @@ QueryResult QueryService::execute(
             trace.checkpoint(obs::SpanKind::kSearchNodes, nodes);
           };
         }
+        // A build stopped by the token or the deadline throws out of
+        // chain_for; task::solve answers it as kCancelled.
+        const topo::StopPredicate stop = task::build_stop(opts);
         opts.chain_provider =
-            [this, &any_build, progress, &trace](
+            [this, &any_build, progress, &trace, &stop](
                 const topo::ChromaticComplex& input, int depth) {
               const auto t0 = std::chrono::steady_clock::now();
               bool built = false;
-              auto chain = cache_.chain_for(input, depth, &built, trace);
+              auto chain =
+                  cache_.chain_for(input, depth, &built, trace, stop);
               if (metrics_.chain_for_us != nullptr) {
                 metrics_.chain_for_us->observe(static_cast<std::uint64_t>(
                     std::chrono::duration_cast<std::chrono::microseconds>(
@@ -653,11 +657,13 @@ QueryResult QueryService::execute(
           opts.cancel = cancel.get();
           opts.progress = progress;
           opts.deadline = deadline;
+          const topo::StopPredicate stop = task::build_stop(opts);
           opts.chain_provider =
-              [this, &any_build, progress, &trace](
+              [this, &any_build, progress, &trace, &stop](
                   const topo::ChromaticComplex& input, int depth) {
                 bool built = false;
-                auto chain = cache_.chain_for(input, depth, &built, trace);
+                auto chain =
+                    cache_.chain_for(input, depth, &built, trace, stop);
                 any_build = any_build || built;
                 bump(progress);
                 return chain;

@@ -57,7 +57,7 @@ std::shared_ptr<const proto::SdsChain> SdsCache::chain_for(
 
 std::shared_ptr<const proto::SdsChain> SdsCache::chain_for(
     const topo::ChromaticComplex& input, int depth, bool* built,
-    const obs::TraceContext& trace) {
+    const obs::TraceContext& trace, const topo::StopPredicate& stop) {
   WFC_REQUIRE(depth >= 0, "SdsCache::chain_for: negative depth");
   const std::uint64_t key = topo::complex_fingerprint(input);
 
@@ -74,8 +74,9 @@ std::shared_ptr<const proto::SdsChain> SdsCache::chain_for(
 
   // Build or extend under the per-entry lock: only same-input queries wait
   // here, and exactly one of them does the subdivision work.  On exception
-  // (injected or genuine bad_alloc) the handle unpins on unwind and the
-  // entry stays at its prior depth; the cache remains consistent.
+  // (injected or genuine bad_alloc, or topo::BuildStopped) the handle unpins
+  // on unwind and the entry stays at its prior depth; the cache remains
+  // consistent.
   bool was_empty = false;
   bool did_build = false;
   bool from_store = false;
@@ -97,11 +98,12 @@ std::shared_ptr<const proto::SdsChain> SdsCache::chain_for(
     was_empty = slot->chain == nullptr;
     if (was_empty) {
       if (options_.build_fault_hook) options_.build_fault_hook();
-      slot->chain = std::make_shared<proto::SdsChain>(input, depth);
+      slot->chain = std::make_shared<proto::SdsChain>(input, depth, stop);
       did_build = true;
     } else if (slot->chain->depth() < depth) {
       if (options_.build_fault_hook) options_.build_fault_hook();
-      slot->chain = std::make_shared<proto::SdsChain>(*slot->chain, depth);
+      slot->chain =
+          std::make_shared<proto::SdsChain>(*slot->chain, depth, stop);
       did_build = true;
     }
     if (store_ && did_build) store_->publish(key, *slot->chain);

@@ -93,10 +93,13 @@ class SdsCache {
   /// subdivision work under the entry's build lock (arg = resulting chain
   /// weight in vertices), or a cache_hit instant when the tower was already
   /// deep enough.  A disabled context makes this identical to the overload
-  /// above.
+  /// above.  A build or extension polls `stop` once per facet it
+  /// subdivides; when it fires, topo::BuildStopped propagates, the entry
+  /// stays at its prior depth, and nothing is counted or published (a twin
+  /// query waiting on the entry then builds the tower itself).
   std::shared_ptr<const proto::SdsChain> chain_for(
       const topo::ChromaticComplex& input, int depth, bool* built,
-      const obs::TraceContext& trace);
+      const obs::TraceContext& trace, const topo::StopPredicate& stop = {});
 
   /// Builds a non-standard (derived) tower from `prior` (the cached chain
   /// so far, possibly null) to depth `depth`.  Must be a pure function of

@@ -52,7 +52,8 @@ class ArenaSearcher {
         budget_(options.node_budget),
         n_(arena.num_vertices()),
         m_(static_cast<std::uint32_t>(task.output().num_vertices())),
-        words_((m_ + 63) / 64) {
+        words_((m_ + 63) / 64),
+        vwords_((static_cast<std::size_t>(n_) + 63) / 64) {
     build_output_tables();
     init_classes();
     if (!build_domains()) return;
@@ -71,6 +72,7 @@ class ArenaSearcher {
       return Solvability::kCancelled;
     }
     trail_.clear();
+    build_buckets();
     if (!propagate(kNoVertex)) {
       nodes = nodes_;
       return Solvability::kUnsolvable;
@@ -87,6 +89,36 @@ class ArenaSearcher {
 
   std::uint64_t* dom_row(VertexId v) {
     return domains_.data() + static_cast<std::size_t>(v) * words_;
+  }
+
+  std::uint64_t* bucket_row(std::uint32_t size) {
+    return buckets_.data() + static_cast<std::size_t>(size) * vwords_;
+  }
+  const std::uint64_t* bucket_row(std::uint32_t size) const {
+    return buckets_.data() + static_cast<std::size_t>(size) * vwords_;
+  }
+  void bucket_insert(VertexId v, std::uint32_t size) {
+    set_bit(bucket_row(size), v);
+    ++bucket_count_[size];
+  }
+  void bucket_erase(VertexId v, std::uint32_t size) {
+    clear_bit(bucket_row(size), v);
+    --bucket_count_[size];
+  }
+
+  /// Min-domain buckets: row s is a bitset over the vertices whose live
+  /// domain holds s values, bucket_count_[s] its population.  Invariant:
+  /// every unassigned vertex sits in exactly the bucket of its dom_count_,
+  /// assigned vertices in none.  Domains only shrink from their initial
+  /// size, so the largest initial domain bounds the table.
+  void build_buckets() {
+    std::uint32_t largest = 0;
+    for (VertexId v = 0; v < n_; ++v) {
+      largest = std::max(largest, dom_count_[v]);
+    }
+    buckets_.assign(static_cast<std::size_t>(largest + 1) * vwords_, 0);
+    bucket_count_.assign(largest + 1, 0);
+    for (VertexId v = 0; v < n_; ++v) bucket_insert(v, dom_count_[v]);
   }
 
   /// pair row `a` of carrier class `cls`, bit b: {a, b} is a simplex of O
@@ -370,6 +402,7 @@ class ArenaSearcher {
       if (assignment_[u] != kNoVertex) continue;
       std::uint64_t* du = dom_row(u);
       std::copy(du, du + words_, scratch_row_.begin());
+      const std::uint32_t size_before = dom_count_[u];
       const VertexId v_assigned = assignment_[it.source];
       const std::uint64_t* dv = dom_row(it.source);
       bool removed_any = false;
@@ -401,6 +434,10 @@ class ArenaSearcher {
           }
         }
       }
+      if (removed_any) {
+        bucket_erase(u, size_before);
+        bucket_insert(u, dom_count_[u]);
+      }
       if (dom_count_[u] == 0) return false;
       if (removed_any) {
         for (std::uint32_t k = nbr_idx_[u]; k < nbr_idx_[u + 1]; ++k) {
@@ -418,21 +455,30 @@ class ArenaSearcher {
       const Removed r = trail_.back();
       trail_.pop_back();
       set_bit(dom_row(r.vertex), r.value);
+      // Only on the way out of a finished search (solved, budget, cancel)
+      // is a restored vertex still assigned; it stays out of the buckets.
+      if (assignment_[r.vertex] == kNoVertex) {
+        bucket_erase(r.vertex, dom_count_[r.vertex]);
+        bucket_insert(r.vertex, dom_count_[r.vertex] + 1);
+      }
       ++dom_count_[r.vertex];
     }
   }
 
+  /// The unassigned vertex with the smallest live domain, ties to the
+  /// lowest id: the lowest set bit of the lowest non-empty bucket.
   VertexId pick_vertex() const {
-    VertexId best = kNoVertex;
-    std::uint32_t best_size = ~std::uint32_t{0};
-    for (VertexId v = 0; v < n_; ++v) {
-      if (assignment_[v] != kNoVertex) continue;
-      if (dom_count_[v] < best_size) {
-        best = v;
-        best_size = dom_count_[v];
+    for (std::uint32_t s = 0; s < bucket_count_.size(); ++s) {
+      if (bucket_count_[s] == 0) continue;
+      const std::uint64_t* row = bucket_row(s);
+      for (std::size_t w = 0; w < vwords_; ++w) {
+        if (row[w] != 0) {
+          return static_cast<VertexId>(w * 64) +
+                 static_cast<VertexId>(std::countr_zero(row[w]));
+        }
       }
     }
-    return best;
+    return kNoVertex;
   }
 
   Solvability node_interrupt() {
@@ -457,6 +503,9 @@ class ArenaSearcher {
   Solvability assign(std::size_t depth) {
     const VertexId v = pick_vertex();
     if (v == kNoVertex) return Solvability::kSolvable;
+    // v's live domain cannot change while this frame owns it (propagation
+    // skips assigned vertices), so it leaves its bucket once, here.
+    bucket_erase(v, dom_count_[v]);
     // Snapshot v's domain into this depth's slice: propagation from deeper
     // levels mutates the live row.  Bit order IS ascending output-id order,
     // matching the legacy engine's sorted snapshot.
@@ -486,6 +535,7 @@ class ArenaSearcher {
         assignment_[v] = kNoVertex;
       }
     }
+    bucket_insert(v, dom_count_[v]);
     return Solvability::kUnsolvable;
   }
 
@@ -513,6 +563,7 @@ class ArenaSearcher {
   std::uint32_t n_;
   std::uint32_t m_;
   std::size_t words_;
+  std::size_t vwords_;  // words of a bitset over arena vertices
   std::size_t facet_words_ = 1;
 
   bool cancelled_ = false;
@@ -526,6 +577,8 @@ class ArenaSearcher {
   std::vector<std::uint64_t> domains_;
   std::vector<std::uint32_t> dom_count_;
   std::vector<VertexId> assignment_;
+  std::vector<std::uint64_t> buckets_;
+  std::vector<std::uint32_t> bucket_count_;
 
   std::vector<std::uint32_t> cls_slots_;
   std::vector<std::span<const VertexId>> cls_carrier_;

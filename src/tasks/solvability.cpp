@@ -295,22 +295,29 @@ class Search {
 /// Chain acquisition shared by solve and solve_at_level: consult the
 /// provider when present, otherwise grow `own` (extending the existing
 /// tower shares every already-built level; see SdsChain).
+/// Returns null when a build was stopped by cancellation or the deadline.
 std::shared_ptr<const proto::SdsChain> chain_for(
     const Task& task, int depth, const SolveOptions& options,
     std::shared_ptr<const proto::SdsChain>& own) {
-  if (options.chain_provider) {
-    std::shared_ptr<const proto::SdsChain> chain =
-        options.chain_provider(task.input(), depth);
-    WFC_CHECK(chain != nullptr && chain->depth() >= depth,
-              "solve: chain provider returned a short chain");
-    return chain;
+  try {
+    if (options.chain_provider) {
+      std::shared_ptr<const proto::SdsChain> chain =
+          options.chain_provider(task.input(), depth);
+      WFC_CHECK(chain != nullptr && chain->depth() >= depth,
+                "solve: chain provider returned a short chain");
+      return chain;
+    }
+    if (!own) {
+      own = std::make_shared<proto::SdsChain>(task.input(), depth,
+                                              build_stop(options));
+    } else if (own->depth() < depth) {
+      own = std::make_shared<proto::SdsChain>(*own, depth,
+                                              build_stop(options));
+    }
+    return own;
+  } catch (const topo::BuildStopped&) {
+    return nullptr;
   }
-  if (!own) {
-    own = std::make_shared<proto::SdsChain>(task.input(), depth);
-  } else if (own->depth() < depth) {
-    own = std::make_shared<proto::SdsChain>(*own, depth);
-  }
-  return own;
 }
 
 /// Runs the level-b search over `chain` (depth >= level) and assembles the
@@ -320,6 +327,10 @@ SolveResult search_level(const Task& task, int level,
                          std::shared_ptr<const proto::SdsChain> chain,
                          const SolveOptions& options) {
   SolveResult result;
+  if (chain == nullptr) {
+    result.status = Solvability::kCancelled;
+    return result;
+  }
   std::optional<LevelRestriction> restriction;
   if (options.restrictor) restriction = options.restrictor(*chain, level);
   if (restriction.has_value()) {
@@ -376,6 +387,11 @@ const char* to_cstring(Solvability s) {
     case Solvability::kCancelled: return "CANCELLED";
   }
   return "?";
+}
+
+topo::StopPredicate build_stop(const SolveOptions& options) {
+  if (options.cancel == nullptr && !options.deadline) return {};
+  return [&options] { return cancel_requested(options); };
 }
 
 SolveResult solve_at_level(const Task& task, int level,

@@ -35,6 +35,7 @@
 #include "protocol/sds_chain.hpp"
 #include "tasks/task.hpp"
 #include "topology/arena.hpp"
+#include "topology/subdivision.hpp"
 
 namespace wfc::task {
 
@@ -61,7 +62,9 @@ struct SolveResult {
 
 /// Supplies the chain I, SDS(I), ..., SDS^depth(I) for an input complex
 /// (depth() may exceed the request).  SDS^k is a pure function of the input,
-/// so providers may memoize across queries; see svc::SdsCache.
+/// so providers may memoize across queries; see svc::SdsCache.  A provider
+/// that builds should poll build_stop(options) and may throw
+/// topo::BuildStopped, which solve() answers as kCancelled.
 using ChainProvider =
     std::function<std::shared_ptr<const proto::SdsChain>(
         const topo::ChromaticComplex& input, int depth)>;
@@ -130,6 +133,12 @@ struct SolveOptions {
   /// identical to an unrestricted solve.
   LevelRestrictor restrictor;
 };
+
+/// The stop predicate for chain builds on behalf of a solve under
+/// `options`: fires once the cancel token flips or the deadline passes.
+/// Empty (never polled) when `options` has neither.  Reads `options` by
+/// reference, so it must not outlive them.
+[[nodiscard]] topo::StopPredicate build_stop(const SolveOptions& options);
 
 /// Decides level-b solvability exactly (within the node budget).
 SolveResult solve_at_level(const Task& task, int level,

@@ -5,7 +5,10 @@
 // then every facet).  Two complexes built the same way -- same vertices in
 // the same order, same facets -- hash equal; the rendering includes the
 // interned keys, so complexes of different provenance practically never
-// collide.  Used as
+// collide.  The rendering is streamed into the hash piece by piece, never
+// materialized (no string or stream per vertex or facet), and its bytes --
+// hence every fingerprint value -- are fixed: tests/map_io_test.cpp pins
+// literal values.  Used as
 //   * the task-binding fingerprint of saved decision maps (tasks/map_io);
 //   * the cache key of the service layer's SDS-chain cache (service/):
 //     SDS^k is a pure function of the input complex, so the input's

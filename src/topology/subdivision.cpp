@@ -62,7 +62,8 @@ std::string sds_vertex_key(Color color, const Simplex& view) {
   return os.str();
 }
 
-ChromaticComplex standard_chromatic_subdivision(const ChromaticComplex& c) {
+ChromaticComplex standard_chromatic_subdivision(const ChromaticComplex& c,
+                                                const StopPredicate& stop) {
   WFC_REQUIRE(c.num_facets() > 0, "SDS: empty complex");
   const bool geom = has_embedding(c);
   ChromaticComplex out(c.n_colors());
@@ -97,6 +98,7 @@ ChromaticComplex standard_chromatic_subdivision(const ChromaticComplex& c) {
   };
 
   for (const Simplex& facet : c.facets()) {
+    if (stop && stop()) throw BuildStopped();
     const int k = static_cast<int>(facet.size());
     for_each_ordered_partition(k, [&](const OrderedPartition& blocks) {
       Simplex sds_facet;

@@ -20,13 +20,30 @@
 // C -- §5 only ever asks Bsd for carrier-preserving (non-chromatic) maps.
 #pragma once
 
+#include <functional>
+#include <stdexcept>
+
 #include "topology/complex.hpp"
 
 namespace wfc::topo {
 
+/// Polled by a subdivision build once per facet of the complex it
+/// subdivides; returning true abandons the build with BuildStopped.  An
+/// empty predicate never stops.  Callers derive it from a cancel token or a
+/// deadline (task::build_stop).
+using StopPredicate = std::function<bool()>;
+
+/// Thrown by a build whose StopPredicate fired.  Nothing partial escapes:
+/// the complex under construction is discarded.
+class BuildStopped : public std::runtime_error {
+ public:
+  BuildStopped() : std::runtime_error("subdivision build stopped") {}
+};
+
 /// Standard chromatic subdivision of a pure chromatic complex with geometric
 /// embedding (coordinates optional; propagated when present).
-ChromaticComplex standard_chromatic_subdivision(const ChromaticComplex& c);
+ChromaticComplex standard_chromatic_subdivision(const ChromaticComplex& c,
+                                                const StopPredicate& stop = {});
 
 /// SDS^k: k-fold iterated standard chromatic subdivision (Lemma 3.3).
 /// k == 0 returns a copy of c.

@@ -21,9 +21,11 @@
 // that a cancelled search pays for none of it.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdint>
 #include <cstring>
+#include <initializer_list>
 #include <memory>
 #include <stdexcept>
 #include <string>
@@ -296,21 +298,142 @@ TEST(ArenaSearch, CancelledSearchBuildsNoTables) {
 }
 
 TEST(ArenaSearch, MatchesLegacyUnderBudgetExhaustion) {
-  // A budget small enough to cut both searches off mid-tree: the kUnknown
-  // verdict AND the exact node count at which it triggers must agree.
-  ConsensusTask task(2, 2);
+  // Budgets that cut both searches off mid-tree: the kUnknown verdict AND
+  // the exact node count at which it triggers must agree, so the two
+  // engines visit the same nodes in the same order, not merely the same
+  // number of them.  The instances are the deepest solve_warm searches.
+  struct BudgetCase {
+    std::shared_ptr<Task> task;
+    int level;
+    std::uint64_t full_nodes;  // the uncut search at this level alone
+  };
+  const std::vector<BudgetCase> cases = {
+      {std::make_shared<KSetConsensusTask>(3, 2), 1, 1281},
+      {std::make_shared<ApproxAgreementTask>(3, 3), 2, 678},
+      {std::make_shared<ApproxAgreementTask>(3, 2), 1, 54},
+  };
+  for (const BudgetCase& c : cases) {
+    SCOPED_TRACE(c.task->name() + " level=" + std::to_string(c.level));
+    SolveOptions uncut;
+    EXPECT_EQ(solve_at_level(*c.task, c.level, uncut).nodes_explored,
+              c.full_nodes);
+    for (const std::uint64_t budget : std::initializer_list<std::uint64_t>{
+             1, 53, 100, 677, c.full_nodes - 1}) {
+      if (budget >= c.full_nodes) continue;
+      SCOPED_TRACE("budget=" + std::to_string(budget));
+      SolveOptions cut;
+      cut.node_budget = budget;
+      const SolveResult a = solve_at_level(*c.task, c.level, cut);
+      EXPECT_EQ(a.status, Solvability::kUnknown);
+      expect_engines_agree(*c.task, c.level, cut);
+    }
+  }
+  ConsensusTask consensus(2, 2);
   for (const std::uint64_t budget : {1ull, 7ull, 50ull}) {
-    SCOPED_TRACE("budget=" + std::to_string(budget));
+    SCOPED_TRACE("consensus(2,2) budget=" + std::to_string(budget));
     SolveOptions arena_opts;
     arena_opts.engine = SolveEngine::kArena;
     arena_opts.node_budget = budget;
     SolveOptions legacy_opts;
     legacy_opts.engine = SolveEngine::kLegacy;
     legacy_opts.node_budget = budget;
-    const SolveResult a = solve(task, 2, arena_opts);
-    const SolveResult l = solve(task, 2, legacy_opts);
+    const SolveResult a = solve(consensus, 2, arena_opts);
+    const SolveResult l = solve(consensus, 2, legacy_opts);
     EXPECT_EQ(a.status, l.status);
     EXPECT_EQ(a.nodes_explored, l.nodes_explored);
+  }
+}
+
+/// A canonical task's complexes with a pseudo-random Delta: each
+/// (input simplex, output simplex) pair is allowed with probability
+/// `percent`.  Propagation then prunes unevenly and the search backtracks
+/// through partly pruned domains, which the canonical tasks rarely do (their
+/// solvable levels mostly finish without a backtrack).  That is where the
+/// min-domain order has to track every removal and every undo.
+class RandomDeltaTask final : public Task {
+ public:
+  RandomDeltaTask(std::shared_ptr<const Task> base, std::uint64_t seed,
+                  int percent)
+      : base_(std::move(base)), seed_(seed), percent_(percent) {}
+  const topo::ChromaticComplex& input() const override {
+    return base_->input();
+  }
+  const topo::ChromaticComplex& output() const override {
+    return base_->output();
+  }
+  std::string name() const override { return "random-delta"; }
+  bool allows(const topo::Simplex& in,
+              const topo::Simplex& out) const override {
+    std::uint64_t h = topo::kFnvOffset ^ seed_;
+    for (topo::VertexId x : in) h = (h ^ x) * topo::kFnvPrime;
+    h = (h ^ 0xff) * topo::kFnvPrime;
+    for (topo::VertexId x : out) h = (h ^ x) * topo::kFnvPrime;
+    h ^= h >> 29;
+    h *= 0xbf58476d1ce4e5b9ull;
+    h ^= h >> 32;
+    return static_cast<int>(h % 100) < percent_;
+  }
+
+ private:
+  std::shared_ptr<const Task> base_;
+  std::uint64_t seed_;
+  int percent_;
+};
+
+TEST(ArenaSearch, MatchesLegacyOnRandomDeltas) {
+  const std::vector<std::shared_ptr<const Task>> bases = {
+      std::make_shared<ApproxAgreementTask>(2, 4),
+      std::make_shared<KSetConsensusTask>(3, 3),
+  };
+  SolveOptions cut;
+  cut.node_budget = 3000;
+  for (std::uint64_t seed = 0; seed < 40; ++seed) {
+    for (const int percent : {60, 80, 90}) {
+      const RandomDeltaTask task(bases[seed % bases.size()], seed, percent);
+      for (int level = 1; level <= 2; ++level) {
+        SCOPED_TRACE("seed=" + std::to_string(seed) +
+                     " percent=" + std::to_string(percent) +
+                     " level=" + std::to_string(level));
+        expect_engines_agree(task, level, cut);
+      }
+    }
+  }
+}
+
+/// An edge {a, b} plus an isolated vertex c of a's color, mapped onto the
+/// output edge; c is allowed no output at all.  c has no edge constraint,
+/// so root propagation never sees its empty domain: only the variable
+/// order finds it, as the smallest domain (size 0), before any node.
+class EmptyDomainTask final : public Task {
+ public:
+  EmptyDomainTask() : input_(2), output_(topo::base_simplex(2)) {
+    const topo::VertexId a = input_.add_vertex(0, "a", ColorSet::single(0));
+    const topo::VertexId b = input_.add_vertex(1, "b", ColorSet::single(1));
+    c_ = input_.add_vertex(0, "c", ColorSet::single(0));
+    input_.add_facet({a, b});
+    input_.add_facet({c_});
+  }
+  const topo::ChromaticComplex& input() const override { return input_; }
+  const topo::ChromaticComplex& output() const override { return output_; }
+  std::string name() const override { return "empty-domain"; }
+  bool allows(const topo::Simplex& in, const topo::Simplex&) const override {
+    return !std::ranges::binary_search(in, c_);
+  }
+
+ private:
+  topo::ChromaticComplex input_;
+  topo::ChromaticComplex output_;
+  topo::VertexId c_ = topo::kNoVertex;
+};
+
+TEST(ArenaSearch, EmptyInitialDomainIsPickedFirst) {
+  const EmptyDomainTask task;
+  for (int level = 0; level <= 1; ++level) {
+    SCOPED_TRACE("level=" + std::to_string(level));
+    const SolveResult r = solve_at_level(task, level);
+    EXPECT_EQ(r.status, Solvability::kUnsolvable);
+    EXPECT_EQ(r.nodes_explored, 0u);
+    expect_engines_agree(task, level, SolveOptions{});
   }
 }
 

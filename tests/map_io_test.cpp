@@ -7,6 +7,7 @@
 #include "bg/simulation.hpp"
 #include "core/wfc.hpp"
 #include "tasks/map_io.hpp"
+#include "topology/hash.hpp"
 
 namespace wfc {
 namespace {
@@ -75,6 +76,23 @@ TEST(MapIo, FingerprintSensitivity) {
   EXPECT_NE(task::complex_fingerprint(a), task::complex_fingerprint(b));
   EXPECT_EQ(task::complex_fingerprint(a),
             task::complex_fingerprint(topo::base_simplex(3)));
+}
+
+// Saved decision maps embed these values and ChainStore names its files by
+// them, so a rendering change must show up here, not as silently rejected
+// maps and cold stores.
+TEST(MapIo, FingerprintValuesArePinned) {
+  const auto base = topo::base_simplex(3);
+  const task::ConsensusTask consensus(2, 3);
+  EXPECT_EQ(topo::complex_fingerprint(base), 0xa4505df9d608eba2ull);
+  EXPECT_EQ(topo::complex_fingerprint(consensus.input()),
+            0x5c41d6222093ec41ull);
+  EXPECT_EQ(topo::complex_fingerprint(consensus.output()),
+            0xbe21a13da07b9ac7ull);
+  EXPECT_EQ(topo::complex_fingerprint(topo::iterated_sds(base, 1)),
+            0xa95b9212bfcde89eull);
+  EXPECT_EQ(topo::complex_fingerprint(topo::iterated_sds(base, 2)),
+            0x018e834c5e351bb9ull);
 }
 
 // ---------------------------------------------------------------------------

@@ -249,6 +249,43 @@ TEST(Cancellation, MidFlightTokenFlipStopsTheSearch) {
   EXPECT_GT(result.nodes_explored, 0u);
 }
 
+TEST(Cancellation, StoppedChainBuildLeavesTheCacheUnbuilt) {
+  // SDS^2 of consensus(2, 64)'s input is a subdivision of 4,096 edges, far
+  // more work than the search that follows it.  A token already flipped
+  // stops the build at its first facet: the solve answers kCancelled, the
+  // cache counts no build, and the next query builds the tower itself.
+  SdsCache cache;
+  const task::ConsensusTask consensus(2, 64);
+  std::atomic<bool> cancel{true};
+  task::SolveOptions options;
+  options.cancel = &cancel;
+  const topo::StopPredicate stop = task::build_stop(options);
+  options.chain_provider = [&cache, &stop](const topo::ChromaticComplex& input,
+                                           int depth) {
+    bool built = false;
+    return cache.chain_for(input, depth, &built, obs::TraceContext(), stop);
+  };
+  const task::SolveResult stopped = task::solve_at_level(consensus, 2, options);
+  EXPECT_EQ(stopped.status, Solvability::kCancelled);
+  EXPECT_EQ(stopped.nodes_explored, 0u);
+  EXPECT_EQ(cache.stats().chain_builds(), 0u);
+  EXPECT_EQ(cache.stats().resident_vertices, 0u);
+
+  cancel.store(false);
+  const task::SolveResult later = task::solve_at_level(consensus, 2, options);
+  EXPECT_EQ(later.status, Solvability::kUnsolvable);
+  EXPECT_EQ(cache.stats().chain_builds(), 1u);
+  bool built = true;
+  EXPECT_EQ(cache.chain_for(consensus.input(), 2, &built)->depth(), 2);
+  EXPECT_FALSE(built);
+
+  // Without a provider the solve's private build polls the same token.
+  cancel.store(true);
+  options.chain_provider = nullptr;
+  EXPECT_EQ(task::solve_at_level(consensus, 2, options).status,
+            Solvability::kCancelled);
+}
+
 TEST(Cancellation, ServiceTimeoutYieldsDeadlineExceeded) {
   QueryService service;
   QueryOptions options;
