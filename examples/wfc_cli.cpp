@@ -9,9 +9,6 @@
 //   wfc_cli resilient-consensus <procs> <t> [max_level]
 //   wfc_cli resilient-set-consensus <procs> <k>:<t> [max_level]   (e.g. 2:1)
 //   wfc_cli check <target> <procs> <rounds> [crashes]
-//   wfc_cli serve [workers] [max_level]
-//   wfc_cli metrics [workers]
-//   wfc_cli trace <out.json> [workers]
 //
 // Global options (before the subcommand):
 //   --retries N        retry queries whose terminal status is retryable
@@ -29,12 +26,10 @@
 // synthesized protocol once on real threads as a liveness check.  The
 // resilient-* forms answer the t-resilient question for colorless tasks via
 // the BG reduction.  `check` runs the wfc::chk model checker (target: sds,
-// emulation, or linearizability) over every bounded schedule.  `serve`
-// turns the CLI into a JSON-lines query server over stdin/stdout (see
-// service/frontend.hpp for the line protocol).  `metrics` is serve with
-// result lines on stderr and the Prometheus text exposition on stdout at
-// EOF; `trace` is serve plus a Chrome trace_event JSON file written at EOF
-// (open it in chrome://tracing or Perfetto).
+// emulation, or linearizability) over every bounded schedule.  The
+// JSON-lines query server is wfc_serve; its {"op":"metrics","path":F} and
+// {"op":"trace","path":F} lines write the Prometheus exposition and the
+// Chrome trace.
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
@@ -49,7 +44,6 @@
 #include "common/rng.hpp"
 #include "core/wfc.hpp"
 #include "net/client.hpp"
-#include "service/frontend.hpp"
 #include "service/jsonl.hpp"
 #include "service/query_service.hpp"
 #include "service/status.hpp"
@@ -69,11 +63,6 @@ int usage() {
                "  simplex-agreement <procs> <target_depth>\n"
                "  check <sds|emulation|linearizability> <procs> <rounds> "
                "[crashes]\n"
-               "  serve [workers] [max_level]   (JSON-lines on stdin)\n"
-               "  metrics [workers]             (serve; Prometheus text to "
-               "stdout at EOF)\n"
-               "  trace <out.json> [workers]    (serve; Chrome trace to file "
-               "at EOF)\n"
                "With --connect: task subcommands, check, metrics, and info "
                "send one\nJSONL request to a wfc_serve --listen server; "
                "`pipe` forwards stdin\nlines.  Against a wfc_router:\n"
@@ -331,32 +320,6 @@ int main(int argc, char** argv) {
       std::fprintf(stderr, "wfc_cli: %s\n", e.what());
       return 1;
     }
-  }
-  if (argc >= 2 && std::string(argv[1]) == "serve") {
-    wfc::svc::ServeConfig config;
-    if (argc > 2) config.service.workers = std::atoi(argv[2]);
-    if (argc > 3) config.default_max_level = std::atoi(argv[3]);
-    const int errors =
-        wfc::svc::run_jsonl_server(std::cin, std::cout, std::cerr, config);
-    return errors == 0 ? 0 : 1;
-  }
-  if (argc >= 2 && std::string(argv[1]) == "metrics") {
-    // Result lines go to stderr so stdout is exactly the Prometheus text
-    // exposition -- pipeable into a scrape file.
-    wfc::svc::ServeConfig config;
-    if (argc > 2) config.service.workers = std::atoi(argv[2]);
-    config.prometheus_at_eof = &std::cout;
-    const int errors =
-        wfc::svc::run_jsonl_server(std::cin, std::cerr, std::cerr, config);
-    return errors == 0 ? 0 : 1;
-  }
-  if (argc >= 3 && std::string(argv[1]) == "trace") {
-    wfc::svc::ServeConfig config;
-    config.trace_path_at_eof = argv[2];
-    if (argc > 3) config.service.workers = std::atoi(argv[3]);
-    const int errors =
-        wfc::svc::run_jsonl_server(std::cin, std::cout, std::cerr, config);
-    return errors == 0 ? 0 : 1;
   }
   if (argc >= 5 && std::string(argv[1]) == "check") {
     return check_command(argv[2], std::atoi(argv[3]), std::atoi(argv[4]),

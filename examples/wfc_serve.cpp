@@ -11,16 +11,16 @@
 //     SIGTERM / SIGINT drain gracefully: stop accepting, answer and flush
 //     everything inflight, then exit.
 //
-// Usage: wfc_serve [--workers N] [--max-level B] [--cache-entries N]
-//                  [--cache-vertices N] [--quiet] [--legacy] [--no-obs]
-//                  [--listen host:port] [--port-file PATH] [--io-threads N]
-//                  [--idle-timeout-ms N] [--max-line-bytes N] [--shard-id S]
+// Usage: wfc_serve [--workers N] [--max-level B] [--mem-cache-entries N]
+//                  [--mem-cache-vertices N] [--store-dir PATH]
+//                  [--store-readonly] [--store-max-bytes N] [--quiet]
+//                  [--no-obs] [--listen host:port] [--port-file PATH]
+//                  [--io-threads N] [--idle-timeout-ms N]
+//                  [--max-line-bytes N] [--shard-id S]
 //
-// The v2 result envelope ("status" = transport taxonomy, domain verdict in
-// "verdict") is the default since PR 5; --legacy restores the old envelope
-// (verdict in "status") for one release and --v2 is accepted as a no-op.
-// --no-obs leaves the observability layer off (the metrics and trace ops
-// then answer invalid_argument).
+// Results use the v2 envelope ("status" = transport taxonomy, domain
+// verdict in "verdict").  --no-obs leaves the observability layer off (the
+// metrics and trace ops then answer invalid_argument).
 //
 // --listen ":0" binds an ephemeral port; --port-file writes the bound port
 // as a decimal line once the server is accepting (CI's free-port flow).
@@ -51,7 +51,7 @@ int usage() {
                "[--mem-cache-vertices N]\n"
                "                 [--store-dir PATH] [--store-readonly]\n"
                "                 [--store-max-bytes N]\n"
-               "                 [--quiet] [--legacy] [--no-obs]\n"
+               "                 [--quiet] [--no-obs]\n"
                "                 [--listen host:port] [--port-file PATH]\n"
                "                 [--io-threads N] [--idle-timeout-ms N]\n"
                "                 [--max-line-bytes N] [--shard-id S]\n"
@@ -63,13 +63,9 @@ int usage() {
                "                 restarts (and co-located shards) start warm\n"
                "  --store-readonly     never publish to the store\n"
                "  --store-max-bytes N  on-disk budget (0 = unlimited)\n"
-               "  --legacy       emit the legacy envelope (verdict in "
-               "\"status\")\n"
                "  --no-obs       disable tracing/metrics collection\n"
                "  --shard-id S   identity echoed by {\"op\":\"info\"} "
-               "(cluster shards)\n"
-               "  --cache-entries/--cache-vertices are deprecated aliases of\n"
-               "  the --mem-cache-* flags.\n");
+               "(cluster shards)\n");
   return 2;
 }
 
@@ -101,12 +97,8 @@ int serve_tcp(const wfc::svc::ServeConfig& config,
     server_config.idle_timeout = std::chrono::milliseconds(idle_timeout_ms);
   }
   server_config.handler.default_max_level = config.default_max_level;
-  server_config.handler.legacy_envelope = config.legacy_envelope;
   server_config.handler.max_line_bytes = config.max_line_bytes;
   server_config.handler.server_id = shard_id;
-  server_config.handler.warn = [](const std::string& note) {
-    std::fprintf(stderr, "wfc_serve: %s\n", note.c_str());
-  };
 
   wfc::net::Server server(service, server_config);
   server.start();
@@ -164,32 +156,14 @@ int main(int argc, char** argv) {
       out = argv[++i];
       return !out.empty();
     };
-    // One-shot note for the pre-PR-9 cache knob spellings (PR-4 pattern):
-    // keep them working for one release, say the new name once.
-    static bool warned_cache_flags = false;
-    auto deprecated_cache_flag = [&](const char* old_name,
-                                     const char* new_name) {
-      if (warned_cache_flags) return;
-      warned_cache_flags = true;
-      std::fprintf(stderr, "wfc_serve: deprecated: %s; use %s\n", old_name,
-                   new_name);
-    };
     int value = 0;
     if (arg == "--workers" && next_int(value)) {
       config.service.workers = value;
     } else if (arg == "--max-level" && next_int(value)) {
       config.default_max_level = value;
-    } else if ((arg == "--mem-cache-entries" || arg == "--cache-entries") &&
-               next_int(value)) {
-      if (arg == "--cache-entries") {
-        deprecated_cache_flag("--cache-entries", "--mem-cache-entries");
-      }
+    } else if (arg == "--mem-cache-entries" && next_int(value)) {
       config.service.cache.max_entries = static_cast<std::size_t>(value);
-    } else if ((arg == "--mem-cache-vertices" || arg == "--cache-vertices") &&
-               next_int(value)) {
-      if (arg == "--cache-vertices") {
-        deprecated_cache_flag("--cache-vertices", "--mem-cache-vertices");
-      }
+    } else if (arg == "--mem-cache-vertices" && next_int(value)) {
       config.service.cache.max_resident_vertices =
           static_cast<std::size_t>(value);
     } else if (arg == "--store-dir" &&
@@ -204,12 +178,6 @@ int main(int argc, char** argv) {
       config.max_line_bytes = static_cast<std::size_t>(value);
     } else if (arg == "--quiet") {
       config.stats_at_eof = false;
-    } else if (arg == "--legacy") {
-      config.legacy_envelope = true;
-    } else if (arg == "--v2") {
-      // The v2 envelope became the default in PR 5; kept as a no-op so
-      // existing pipelines keep working.
-      config.legacy_envelope = false;
     } else if (arg == "--no-obs") {
       config.observability = false;
     } else if (arg == "--listen" && next_str(listen_spec)) {

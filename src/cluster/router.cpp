@@ -143,7 +143,6 @@ struct Router::Pending {
   std::string client_id;  // raw (unescaped) client id
   bool had_id = false;
   int line_no = 0;
-  std::string op;
   std::string wire;  // rid-stamped request line, reused by hedge/re-dispatch
   /// Deadline propagation: the client's timeout_ms and the wire line with
   /// that field stripped, so wire_now() can re-stamp the REMAINING budget
@@ -310,15 +309,15 @@ net::LineBackend::Outcome Router::on_line(std::string_view line, int line_no,
     return out;
   }
   const auto op_it = fields.find("op");
-  const std::string op = op_it == fields.end() ? "solve" : op_it->second;
+  const std::string op = op_it == fields.end() ? "" : op_it->second;
   if (op == "stats" || op == "metrics" || op == "trace" || op == "info" ||
       op == "store" || op == "cluster_stats" || op == "cluster_add" ||
       op == "cluster_remove" || op == "cluster_drain") {
     out.kind = Outcome::Kind::kControl;
     return out;
   }
-  // Everything else -- solves, checks, unknown ops, legacy bare task lines
-  // -- is the shards' business; forward and relay their verdict verbatim.
+  // Everything else -- solves, checks, unknown ops, op-less lines -- is the
+  // shards' business; forward and relay their answer verbatim.
   return submit(fields, line, line_no, std::move(done));
 }
 
@@ -347,8 +346,6 @@ net::LineBackend::Outcome Router::submit(const svc::Fields& fields,
   p->client_id = client_id;
   p->had_id = id_it != fields.end();
   p->line_no = line_no;
-  const auto op_it = fields.find("op");
-  p->op = op_it == fields.end() ? "solve" : op_it->second;
   p->key = make_key(fields);
   p->done = std::move(done);
   p->submitted = Clock::now();

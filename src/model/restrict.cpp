@@ -123,13 +123,15 @@ std::vector<std::vector<ColorSet>> recover_schedule(
 void for_each_run(const proto::SdsChain& chain, int level,
                   const Arena& facets_arena,
                   const std::function<void(const RunDesc&,
-                                           const Simplex&)>& fn) {
+                                           const Simplex&)>& fn,
+                  const topo::StopPredicate& stop) {
   WFC_REQUIRE(level >= 0 && level <= chain.depth(),
               "for_each_run: level out of range");
   const int n_sys = facets_arena.n_colors();
   const int b = level;
 
   for (std::uint32_t f = 0; f < facets_arena.num_facets(); ++f) {
+    if (stop && stop()) throw topo::BuildStopped();
     const std::span<const VertexId> fv = facets_arena.facet(f);
     const ColorSet colors = span_colors(facets_arena, fv);
     // The crash embedding is enumerated on top of a FULL-INFORMATION
@@ -258,7 +260,8 @@ void for_each_run(const proto::SdsChain& chain, int level,
 }
 
 Restriction restrict_level(const proto::SdsChain& chain, int level,
-                           const Model& model) {
+                           const Model& model,
+                           const topo::StopPredicate& stop) {
   const Arena arena = chain.arena(level);
   Restriction out;
 
@@ -268,7 +271,7 @@ Restriction restrict_level(const proto::SdsChain& chain, int level,
     auto [it, fresh] = verdicts.try_emplace(run.signature(), false);
     if (fresh) it->second = model.admits(run);
     if (it->second) kept.insert(sx);
-  });
+  }, stop);
   for (const auto& [sig, admitted] : verdicts) {
     if (admitted) {
       ++out.runs_admitted;
@@ -280,6 +283,7 @@ Restriction restrict_level(const proto::SdsChain& chain, int level,
   // Maximal kept simplices, in the set's lexicographic order.
   std::vector<const Simplex*> maximal;
   for (const Simplex& s : kept) {
+    if (stop && stop()) throw topo::BuildStopped();
     bool covered = false;
     for (const Simplex& t : kept) {
       if (t.size() > s.size() &&
@@ -339,7 +343,8 @@ std::set<std::string> affine_task_windows(const proto::SdsChain& chain, int m,
 std::shared_ptr<const proto::SdsChain> restricted_tower(
     const proto::SdsChain& full, int depth, const Model& model,
     const std::shared_ptr<const proto::SdsChain>& prior,
-    std::uint64_t* runs_admitted, std::uint64_t* runs_rejected) {
+    std::uint64_t* runs_admitted, std::uint64_t* runs_rejected,
+    const topo::StopPredicate& stop) {
   WFC_REQUIRE(depth >= 0 && depth <= full.depth(),
               "restricted_tower: depth out of range");
   std::vector<Arena> arenas;
@@ -351,7 +356,7 @@ std::shared_ptr<const proto::SdsChain> restricted_tower(
     start = reuse + 1;
   }
   for (int r = start; r <= depth; ++r) {
-    Restriction res = restrict_level(full, r, model);
+    Restriction res = restrict_level(full, r, model, stop);
     if (runs_admitted != nullptr) *runs_admitted += res.runs_admitted;
     if (runs_rejected != nullptr) *runs_rejected += res.runs_rejected;
     arenas.push_back(std::move(res.arena));

@@ -35,6 +35,7 @@
 #include "protocol/sds_chain.hpp"
 #include "topology/arena.hpp"
 #include "topology/complex.hpp"
+#include "topology/subdivision.hpp"
 
 namespace wfc::model {
 
@@ -73,16 +74,21 @@ std::vector<std::vector<ColorSet>> recover_schedule(
 /// ids; runs with no survivor are skipped.  Runs are deduplicated by
 /// signature PER FACET (the same run surfaces from several facets when
 /// crashed colors' trailing singletons permute; the caller's set union
-/// handles that).
+/// handles that).  Polls `stop` once per facet and throws
+/// topo::BuildStopped when it fires.
 void for_each_run(const proto::SdsChain& chain, int level,
                   const topo::Arena& facets_arena,
                   const std::function<void(const RunDesc&,
-                                           const topo::Simplex&)>& fn);
+                                           const topo::Simplex&)>& fn,
+                  const topo::StopPredicate& stop = {});
 
 /// Derives the admissible subcomplex of chain level `level` under `model`
-/// by pruning the level's arena (see file comment).
+/// by pruning the level's arena (see file comment).  Polls `stop` once per
+/// facet of the level and once per kept simplex of the maximality pass;
+/// when it fires, topo::BuildStopped propagates and nothing is returned.
 Restriction restrict_level(const proto::SdsChain& chain, int level,
-                           const Model& model);
+                           const Model& model,
+                           const topo::StopPredicate& stop = {});
 
 /// Window-signature set of the runs of `affine_arena` viewed as a
 /// subcomplex of chain level `m` -- the affine task A as input for
@@ -113,11 +119,12 @@ class ArenaVectorBacking final : public proto::ChainBacking {
 /// r of the result is the pruned arena of restrict_level(full, r, model).
 /// `prior` (may be null) contributes its already-pruned levels unchanged.
 /// Totals of runs admitted/rejected across the NEW levels are added to the
-/// optional counters.
+/// optional counters.  `stop` is polled as in restrict_level.
 std::shared_ptr<const proto::SdsChain> restricted_tower(
     const proto::SdsChain& full, int depth, const Model& model,
     const std::shared_ptr<const proto::SdsChain>& prior = nullptr,
     std::uint64_t* runs_admitted = nullptr,
-    std::uint64_t* runs_rejected = nullptr);
+    std::uint64_t* runs_rejected = nullptr,
+    const topo::StopPredicate& stop = {});
 
 }  // namespace wfc::model

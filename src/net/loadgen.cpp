@@ -162,10 +162,9 @@ std::string with_model(const std::string& line, const std::string& model) {
 
 namespace {
 
-/// Whether the handler accepts a "model" field on this request line: solve
-/// (including legacy bare {"task":...} lines), convergence, and checks of
-/// the default "sds" target do; emulate, other check targets, and control
-/// ops reject or ignore it.
+/// Whether the handler accepts a "model" field on this request line: solve,
+/// convergence, and checks of the default "sds" target do; emulate, other
+/// check targets, control ops and op-less lines reject or ignore it.
 bool line_takes_model(const std::string& line) {
   std::map<std::string, std::string> fields;
   try {
@@ -174,7 +173,7 @@ bool line_takes_model(const std::string& line) {
     return false;
   }
   const auto op_it = fields.find("op");
-  const std::string op = op_it == fields.end() ? "solve" : op_it->second;
+  const std::string op = op_it == fields.end() ? "" : op_it->second;
   if (op == "solve" || op == "convergence") return true;
   if (op == "check") {
     const auto target = fields.find("target");

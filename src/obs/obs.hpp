@@ -13,9 +13,8 @@
 // Exporters:
 //   * write_prometheus(out)    -- text exposition of every metric series;
 //   * write_chrome_trace(out)  -- trace_event JSON of the span ring.
-// Both are reachable through the JSONL ops {"op":"metrics"} /
-// {"op":"trace","path":...} and the wfc_cli metrics|trace subcommands
-// (service/frontend.hpp).
+// Both are reachable through the JSONL ops {"op":"metrics","path":...} /
+// {"op":"trace","path":...} (service/handler.hpp).
 //
 // Gauges that mirror another subsystem's state (queue depth, cache
 // residency) are refreshed just before export through a caller-installed

@@ -1,7 +1,6 @@
 #include "service/frontend.hpp"
 
 #include <deque>
-#include <fstream>
 #include <istream>
 #include <ostream>
 
@@ -20,14 +19,10 @@ int run_jsonl_server(std::istream& in, std::ostream& out, std::ostream& err,
 
   HandlerConfig handler_config;
   handler_config.default_max_level = config.default_max_level;
-  handler_config.legacy_envelope = config.legacy_envelope;
   handler_config.max_line_bytes = config.max_line_bytes;
   // The stdin transport runs in the operator's own shell, so path-bearing
   // metrics/trace ops may write files; network transports keep this off.
   handler_config.allow_control_paths = true;
-  handler_config.warn = [&err](const std::string& note) {
-    err << "wfc_serve: " << note << "\n";
-  };
   RequestHandler handler(service, handler_config);
 
   // One submitted query whose result line has not been printed yet.  The
@@ -91,19 +86,6 @@ int run_jsonl_server(std::istream& in, std::ostream& out, std::ostream& err,
     if (pending.size() >= 4096) drain(2048);
   }
   drain(0);
-  if (config.prometheus_at_eof != nullptr && service.observer().enabled()) {
-    service.observer().write_prometheus(*config.prometheus_at_eof);
-  }
-  if (!config.trace_path_at_eof.empty() && service.observer().enabled()) {
-    std::ofstream file(config.trace_path_at_eof);
-    if (file) {
-      service.observer().write_chrome_trace(file);
-    } else {
-      err << "wfc_serve: cannot open trace path \"" << config.trace_path_at_eof
-          << "\"\n";
-      ++error_lines;
-    }
-  }
   if (config.stats_at_eof) {
     err << "wfc_serve: " << service.stats().to_string() << "\n";
   }

@@ -23,30 +23,23 @@
 //   {"op":"trace","path":"f"} flushes, writes the span ring as Chrome
 //                             trace_event JSON to f (chrome://tracing)
 //
-// Legacy request shape: a line with "task" but no "op" is still accepted
-// and routed as op:"solve" (a one-line deprecation note goes to `err`, once
-// per run).
-//
-// Result envelope (v2, the default since PR 5): "status" is ALWAYS the
-// lowercase transport taxonomy of service/status.hpp -- "ok", "cancelled",
-// "deadline_exceeded", "overloaded" (+ "retry_after_ms"),
-// "resource_exhausted", "invalid_argument", "internal".  The DOMAIN outcome
-// of an ok query lives in "verdict":
+// Result envelope: "status" is ALWAYS the lowercase transport taxonomy of
+// service/status.hpp -- "ok", "cancelled", "deadline_exceeded",
+// "overloaded" (+ "retry_after_ms"), "resource_exhausted",
+// "invalid_argument", "internal".  The DOMAIN outcome of an ok query lives
+// in "verdict":
 //
 //   {"id":...,"task":"...","status":"ok","verdict":"SOLVABLE","level":1,
 //    "nodes":12,"cache_hit":true,"micros":345}
 //   {"op":"emulate",...,"status":"ok","verdict":"OK","rounds":5,...}
 //   {"op":"check",...,"status":"ok","verdict":"VIOLATION","schedules":...}
 //
-// Legacy envelope (ServeConfig::legacy_envelope, `wfc_serve --legacy`): ok
-// queries put the domain verdict directly in "status" ("SOLVABLE", "OK",
-// "VIOLATION", ...) exactly as PR 2/3 emitted; non-ok lines are identical
-// in both envelopes.
-//
-// Malformed input lines answer {"status":"invalid_argument","line":N,
-// "error":...} -- with the offending 1-based line number -- and never
-// terminate the serve loop.  Lines longer than ServeConfig::max_line_bytes
-// are rejected the same way instead of being buffered without bound.
+// Malformed input lines -- including a line without "op" -- answer
+// {"status":"invalid_argument","line":N,"error":...} with the offending
+// 1-based line number (and the echoed "id" when the line has one), and
+// never terminate the serve loop.  Lines longer than
+// ServeConfig::max_line_bytes are rejected the same way instead of being
+// buffered without bound.
 //
 // The per-line request -> Query -> envelope machinery lives in
 // service/handler.hpp (RequestHandler), shared verbatim with the wfc::net
@@ -65,11 +58,6 @@ struct ServeConfig {
   int default_max_level = 2;
   /// Print a final stats line to `err` when the input is exhausted.
   bool stats_at_eof = true;
-  /// Emit the pre-PR-4 result envelope (domain verdict in "status") instead
-  /// of the v2 split (transport "status" + domain "verdict").  OFF by
-  /// default since PR 5, as promised "for one release" in PR 4; wfc_serve
-  /// --legacy is the escape hatch.
-  bool legacy_envelope = false;
   /// Request lines longer than this answer {"status":"invalid_argument"}
   /// instead of being buffered/parsed.  0 disables the cap.
   std::size_t max_line_bytes = 1 << 20;
@@ -77,12 +65,6 @@ struct ServeConfig {
   /// "metrics" and "trace" ops work out of the box.  Set false to honour
   /// service.obs.enabled as given.
   bool observability = true;
-  /// When set, the full Prometheus text exposition is written here once the
-  /// input is exhausted (wfc_cli metrics pipes it to stdout).
-  std::ostream* prometheus_at_eof = nullptr;
-  /// When non-empty, the span ring is written to this path as Chrome
-  /// trace_event JSON once the input is exhausted (wfc_cli trace).
-  std::string trace_path_at_eof;
 };
 
 /// Reads queries from `in` until EOF, fans them out to a QueryService, and

@@ -214,17 +214,14 @@ RequestHandler::ParsedLine RequestHandler::parse(std::string_view line,
     parsed.immediate = error_record("", line_no, e.what());
     return parsed;
   }
-  // v2 request shape: every line names its "op" and "task" is a parameter
-  // of op:"solve".  Legacy bare {"task":...} lines are still routed as
-  // solves, with a once-per-run deprecation note.
-  if (parsed.fields.count("op") == 0 && parsed.fields.count("task") != 0 &&
-      !warned_legacy_task_.exchange(true, std::memory_order_relaxed) &&
-      config_.warn) {
-    config_.warn(
-        "deprecated: bare {\"task\":...} request lines; "
-        "use {\"op\":\"solve\",\"task\":...}");
+  // Every line names its "op"; "task" is a parameter of op:"solve".
+  if (parsed.fields.count("op") == 0) {
+    parsed.action = Action::kRespond;
+    parsed.immediate = error_record(string_field(parsed.fields, "id"),
+                                    line_no, "missing field \"op\"");
+    return parsed;
   }
-  parsed.op = string_field(parsed.fields, "op", "solve");
+  parsed.op = parsed.fields.at("op");
   if (parsed.op == "stats" || parsed.op == "metrics" ||
       parsed.op == "trace" || parsed.op == "info" || parsed.op == "store") {
     parsed.action = Action::kControl;
@@ -387,8 +384,7 @@ RequestHandler::Rendered RequestHandler::render(
   if (!meta.model.empty()) w.field("model", meta.model);
   if (result.status != Status::kOk) {
     // Non-kOk terminal statuses use the lowercase taxonomy tokens
-    // (status.hpp) in BOTH envelopes; retryable ones carry the service's
-    // backoff hint.
+    // (status.hpp); retryable ones carry the service's backoff hint.
     w.field("status", to_json_token(result.status));
     if (result.retry_after_ms > 0) {
       w.field("retry_after_ms",
@@ -396,14 +392,11 @@ RequestHandler::Rendered RequestHandler::render(
     }
     if (!result.error.empty()) w.field("error", result.error);
   } else {
-    // v2 envelope (the default since PR 5): "status" stays in the transport
-    // taxonomy ("ok") and the domain outcome moves to "verdict".  Legacy
-    // envelope (--legacy): the verdict IS the status, as PR 2/3 emitted.
-    const bool legacy = config_.legacy_envelope;
-    const char* verdict_key = legacy ? "status" : "verdict";
-    if (!legacy) w.field("status", to_json_token(Status::kOk));
+    // "status" stays in the transport taxonomy ("ok") and the domain
+    // outcome lives in "verdict".
+    w.field("status", to_json_token(Status::kOk));
     if (meta.is_check) {
-      w.field(verdict_key, result.check_ok ? "OK" : "VIOLATION");
+      w.field("verdict", result.check_ok ? "OK" : "VIOLATION");
       w.field("schedules", result.check_schedules)
           .field("histories", result.check_histories)
           .field("max_depth", result.check_max_depth);
@@ -411,13 +404,13 @@ RequestHandler::Rendered RequestHandler::render(
         w.field("violation", result.check_violation);
       }
     } else if (meta.is_emulate) {
-      w.field(verdict_key, "OK")
+      w.field("verdict", "OK")
           .field("rounds", result.emu_rounds)
           .field("iis_steps",
                  std::accumulate(result.emu_steps.begin(),
                                  result.emu_steps.end(), std::int64_t{0}));
     } else {
-      w.field(verdict_key, task::to_cstring(result.solve.status));
+      w.field("verdict", task::to_cstring(result.solve.status));
       if (result.solve.status == task::Solvability::kSolvable) {
         w.field("level", result.solve.level);
       }

@@ -1,10 +1,12 @@
 // Transport-agnostic request handler for the JSONL v2 protocol.
 //
-// PR 5 factors the per-line request -> Query -> result-envelope path out of
-// the stdin front-end (frontend.cpp) so every transport -- the stdin batch
-// loop and the wfc::net TCP server -- speaks exactly the same protocol with
-// exactly the same error records.  One RequestHandler wraps one
-// QueryService and is safe to share across transport threads.
+// The per-line request -> Query -> result-envelope path, shared by every
+// transport -- the stdin batch loop (frontend.cpp) and the wfc::net TCP
+// server -- so all of them speak exactly the same protocol with exactly the
+// same error records.  The handler is the only place that decides what a
+// request's "op" is: a line without one answers invalid_argument.  One
+// RequestHandler wraps one QueryService and is safe to share across
+// transport threads.
 //
 // A transport feeds input lines through four entry points:
 //
@@ -33,7 +35,6 @@
 // match failures to requests.
 #pragma once
 
-#include <atomic>
 #include <functional>
 #include <map>
 #include <memory>
@@ -54,9 +55,6 @@ std::shared_ptr<task::Task> make_canonical_task(const Fields& fields);
 
 struct HandlerConfig {
   int default_max_level = 2;
-  /// Emit the pre-PR-4 result envelope (domain verdict in "status") instead
-  /// of the v2 split (transport "status" + domain "verdict").
-  bool legacy_envelope = false;
   /// Request lines longer than this are answered with an invalid_argument
   /// record and never buffered or parsed.  0 disables the cap.
   std::size_t max_line_bytes = 1 << 20;
@@ -81,9 +79,6 @@ struct HandlerConfig {
   /// Operator-assigned identity echoed by {"op":"info"} (a shard id in a
   /// cluster, "" for a standalone server).
   std::string server_id;
-  /// Sink for one-shot deprecation notes (bare {"task":...} lines); null
-  /// discards them.
-  std::function<void(const std::string&)> warn;
 };
 
 class RequestHandler {
@@ -108,7 +103,7 @@ class RequestHandler {
     Action action = Action::kSkip;
     Rendered immediate;  // kRespond only
     Fields fields;       // kControl / kSubmit
-    std::string op;      // resolved op ("solve" when defaulted)
+    std::string op;      // the request's "op"
     int line_no = 0;
   };
 
@@ -145,7 +140,7 @@ class RequestHandler {
   bool submit_async(const ParsedLine& parsed,
                     std::function<void(Rendered&&)> done, Rendered* error);
 
-  /// Renders a completed query's result envelope (legacy or v2 per config).
+  /// Renders a completed query's v2 result envelope.
   [[nodiscard]] Rendered render(const ResponseMeta& meta,
                                 const QueryResult& result) const;
 
@@ -183,7 +178,6 @@ class RequestHandler {
   /// {"op":"info"} uptime reference: when this handler (in practice, the
   /// transport) came up.
   std::chrono::steady_clock::time_point started_;
-  std::atomic<bool> warned_legacy_task_{false};
   wf::ClockCache<std::string, std::shared_ptr<task::Task>> interned_;
 };
 

@@ -47,7 +47,7 @@ struct LinOutcome {
 /// EVERY step interleaving of a fixed scenario (processor 0 performs
 /// `rounds` updates; every other processor takes one scan) and verify each
 /// recorded history against the sequential snapshot specification.
-LinOutcome run_linearizability_target(const CheckQuery& cq,
+LinOutcome run_linearizability_target(const CheckRequest& cq,
                                       std::uint64_t max_schedules,
                                       const std::atomic<bool>* cancel,
                                       std::atomic<std::uint64_t>* progress) {
@@ -548,13 +548,13 @@ void QueryService::memo_store(const Query& query,
 }
 
 task::LevelRestrictor QueryService::model_restrictor(
-    std::shared_ptr<const model::Model> model, bool* any_build) {
-  if (model == nullptr || model->is_wait_free()) return nullptr;
+    std::shared_ptr<const model::Model> model, bool* any_build,
+    const topo::StopPredicate& stop) {
   // The restricted tower is itself a pure function of (input, model), so it
   // rides the same cache/store machinery as full towers -- keyed by the
   // MIXED fingerprint, which can never collide with the full tower's key
   // (tag != 0) or another model's (distinct tags).
-  return [this, model = std::move(model), any_build](
+  return [this, model = std::move(model), any_build, &stop](
              const proto::SdsChain& chain,
              int level) -> std::optional<task::LevelRestriction> {
     const std::uint64_t base_fp = topo::complex_fingerprint(chain.level(0));
@@ -562,12 +562,12 @@ task::LevelRestrictor QueryService::model_restrictor(
     bool built = false;
     auto restricted = cache_.derived_chain_for(
         key, model->tag(), level,
-        [this, &model, &chain](std::shared_ptr<const proto::SdsChain> prior,
-                               int depth) {
+        [this, &model, &chain, &stop](
+            std::shared_ptr<const proto::SdsChain> prior, int depth) {
           std::uint64_t admitted = 0;
           std::uint64_t rejected = 0;
           auto tower = model::restricted_tower(chain, depth, *model, prior,
-                                               &admitted, &rejected);
+                                               &admitted, &rejected, stop);
           if (metrics_.model_runs_admitted != nullptr) {
             metrics_.model_runs_admitted->inc(admitted);
             metrics_.model_runs_rejected->inc(rejected);
@@ -578,6 +578,51 @@ task::LevelRestrictor QueryService::model_restrictor(
     *any_build = *any_build || built;
     return task::LevelRestriction{restricted->arena(level), nullptr};
   };
+}
+
+task::SolveResult QueryService::solve_levels(
+    const task::Task& task, const std::shared_ptr<const model::Model>& model,
+    int max_level, const std::atomic<bool>* cancel,
+    const std::optional<std::chrono::steady_clock::time_point>& deadline,
+    std::uint64_t budget, std::atomic<std::uint64_t>* progress,
+    const obs::TraceContext& trace, bool* any_build) {
+  task::SolveOptions opts;
+  opts.node_budget = budget;
+  opts.cancel = cancel;
+  opts.progress = progress;
+  opts.deadline = deadline;
+  if (trace.enabled()) {
+    opts.checkpoint_every = observer_.config().search_checkpoint_nodes;
+    opts.on_checkpoint = [&trace](std::uint64_t nodes) {
+      trace.checkpoint(obs::SpanKind::kSearchNodes, nodes);
+    };
+  }
+  // A build stopped by the token or the deadline throws out of chain_for
+  // or the restrictor; task::solve answers it as kCancelled.
+  const topo::StopPredicate stop = task::build_stop(opts);
+  opts.chain_provider = [this, any_build, progress, &trace, &stop](
+                            const topo::ChromaticComplex& input, int depth) {
+    const auto t0 = std::chrono::steady_clock::now();
+    bool built = false;
+    auto chain = cache_.chain_for(input, depth, &built, trace, stop);
+    if (metrics_.chain_for_us != nullptr) {
+      metrics_.chain_for_us->observe(static_cast<std::uint64_t>(
+          std::chrono::duration_cast<std::chrono::microseconds>(
+              std::chrono::steady_clock::now() - t0)
+              .count()));
+    }
+    *any_build = *any_build || built;
+    bump(progress);  // subdivision checkpoint
+    return chain;
+  };
+  if (model != nullptr && !model->is_wait_free()) {
+    if (metrics_.model_queries != nullptr) metrics_.model_queries->inc();
+    opts.restrictor = model_restrictor(model, any_build, stop);
+  }
+  auto span = trace.span(obs::SpanKind::kSearch);
+  task::SolveResult result = task::solve(task, max_level, opts);
+  span.arg = result.nodes_explored;
+  return result;
 }
 
 void QueryService::cancel_all() {
@@ -600,47 +645,10 @@ QueryResult QueryService::execute(
     switch (query.kind()) {
       case Query::Kind::kSolve: {
         const SolveRequest& req = std::get<SolveRequest>(query.request);
-        task::SolveOptions opts;
-        opts.node_budget = effective_budget;
-        opts.cancel = cancel.get();
-        opts.progress = progress;
-        opts.deadline = deadline;
-        if (trace.enabled()) {
-          opts.checkpoint_every = observer_.config().search_checkpoint_nodes;
-          opts.on_checkpoint = [&trace](std::uint64_t nodes) {
-            trace.checkpoint(obs::SpanKind::kSearchNodes, nodes);
-          };
-        }
-        // A build stopped by the token or the deadline throws out of
-        // chain_for; task::solve answers it as kCancelled.
-        const topo::StopPredicate stop = task::build_stop(opts);
-        opts.chain_provider =
-            [this, &any_build, progress, &trace, &stop](
-                const topo::ChromaticComplex& input, int depth) {
-              const auto t0 = std::chrono::steady_clock::now();
-              bool built = false;
-              auto chain =
-                  cache_.chain_for(input, depth, &built, trace, stop);
-              if (metrics_.chain_for_us != nullptr) {
-                metrics_.chain_for_us->observe(static_cast<std::uint64_t>(
-                    std::chrono::duration_cast<std::chrono::microseconds>(
-                        std::chrono::steady_clock::now() - t0)
-                        .count()));
-              }
-              any_build = any_build || built;
-              bump(progress);  // subdivision checkpoint
-              return chain;
-            };
-        if (req.model != nullptr && !req.model->is_wait_free()) {
-          if (metrics_.model_queries != nullptr) metrics_.model_queries->inc();
-          opts.restrictor = model_restrictor(req.model, &any_build);
-        }
-        {
-          auto span = trace.span(obs::SpanKind::kSearch);
-          result.solve =
-              task::solve(*req.task, query.options.max_level, opts);
-          span.arg = result.solve.nodes_explored;
-        }
+        result.solve = solve_levels(*req.task, req.model,
+                                    query.options.max_level, cancel.get(),
+                                    deadline, effective_budget, progress,
+                                    trace, &any_build);
         ran_to_verdict = true;
         break;
       }
@@ -651,28 +659,10 @@ QueryResult QueryService::execute(
           // The §5 convergence compiler assumes the full run set; under a
           // sub-IIS model the agreement task goes through the restricted
           // Prop 3.1 solve instead (same verdict surface).
-          if (metrics_.model_queries != nullptr) metrics_.model_queries->inc();
-          task::SolveOptions opts;
-          opts.node_budget = effective_budget;
-          opts.cancel = cancel.get();
-          opts.progress = progress;
-          opts.deadline = deadline;
-          const topo::StopPredicate stop = task::build_stop(opts);
-          opts.chain_provider =
-              [this, &any_build, progress, &trace, &stop](
-                  const topo::ChromaticComplex& input, int depth) {
-                bool built = false;
-                auto chain =
-                    cache_.chain_for(input, depth, &built, trace, stop);
-                any_build = any_build || built;
-                bump(progress);
-                return chain;
-              };
-          opts.restrictor = model_restrictor(req.model, &any_build);
-          auto span = trace.span(obs::SpanKind::kSearch);
-          result.solve =
-              task::solve(*req.agreement, query.options.max_level, opts);
-          span.arg = result.solve.nodes_explored;
+          result.solve = solve_levels(*req.agreement, req.model,
+                                      query.options.max_level, cancel.get(),
+                                      deadline, effective_budget, progress,
+                                      trace, &any_build);
           ran_to_verdict = true;
           break;
         }
@@ -723,7 +713,7 @@ QueryResult QueryService::execute(
         const CheckRequest& cq = std::get<CheckRequest>(query.request);
         auto span = trace.span(obs::SpanKind::kCheck);
         switch (cq.target) {
-          case CheckQuery::Target::kSds: {
+          case CheckRequest::Target::kSds: {
             chk::ExploreOptions opts;
             opts.n_procs = cq.procs;
             opts.rounds = cq.rounds;
@@ -747,7 +737,7 @@ QueryResult QueryService::execute(
             }
             break;
           }
-          case CheckQuery::Target::kEmulation: {
+          case CheckRequest::Target::kEmulation: {
             chk::ConformanceOptions opts;
             opts.n_procs = cq.procs;
             opts.shots = cq.shots;
@@ -765,7 +755,7 @@ QueryResult QueryService::execute(
             result.check_violation = report.violation;
             break;
           }
-          case CheckQuery::Target::kLinearizability: {
+          case CheckRequest::Target::kLinearizability: {
             const LinOutcome out = run_linearizability_target(
                 cq, effective_budget, cancel.get(), progress);
             result.check_ok = out.ok;

@@ -142,9 +142,6 @@ struct CheckRequest {
   std::shared_ptr<const model::Model> model;
 };
 
-/// Deprecated spelling from the PR-2/3 API; CheckRequest is the same type.
-using CheckQuery = CheckRequest;
-
 /// One request of any family.  The variant index IS the query kind (see
 /// Query::Kind below); adding a family means adding a struct here and a
 /// case in QueryService::execute.
@@ -451,10 +448,22 @@ class QueryService {
   void release_inflight_slot();
   /// Restrictor for a non-wait-free model: serves each level's admissible
   /// subcomplex from the derived-tower cache (key = mixed fingerprint), so
-  /// repeated model queries over the same input prune once.  Null models
-  /// and wait_free return an empty function (search untouched).
+  /// repeated model queries over the same input prune once.  A restriction
+  /// build polls `stop`, which must outlive the restrictor.
   task::LevelRestrictor model_restrictor(
-      std::shared_ptr<const model::Model> model, bool* any_build);
+      std::shared_ptr<const model::Model> model, bool* any_build,
+      const topo::StopPredicate& stop);
+  /// The Prop 3.1 level loop for one query (op "solve", and op
+  /// "convergence" under a model): the query's budget, cancel token,
+  /// deadline and heartbeat; chains from cache_ and, for a non-wait-free
+  /// `model`, restricted levels, both polling the same stop; search-node
+  /// checkpoints and the search span on `trace`.
+  task::SolveResult solve_levels(
+      const task::Task& task, const std::shared_ptr<const model::Model>& model,
+      int max_level, const std::atomic<bool>* cancel,
+      const std::optional<std::chrono::steady_clock::time_point>& deadline,
+      std::uint64_t budget, std::atomic<std::uint64_t>* progress,
+      const obs::TraceContext& trace, bool* any_build);
   /// The memoized definitive result for this query, if any.
   [[nodiscard]] std::optional<task::SolveResult> memo_lookup(
       const Query& query);

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <chrono>
 #include <utility>
-#include <vector>
 
 #include "common/assert.hpp"
 #include "topology/hash.hpp"
@@ -44,72 +43,56 @@ std::size_t SdsCache::chain_weight(const proto::SdsChain& chain) {
   return w;
 }
 
-std::shared_ptr<const proto::SdsChain> SdsCache::chain_for(
-    const topo::ChromaticComplex& input, int depth) {
-  bool built = false;
-  return chain_for(input, depth, &built);
-}
-
-std::shared_ptr<const proto::SdsChain> SdsCache::chain_for(
-    const topo::ChromaticComplex& input, int depth, bool* built) {
-  return chain_for(input, depth, built, obs::TraceContext());
-}
-
-std::shared_ptr<const proto::SdsChain> SdsCache::chain_for(
-    const topo::ChromaticComplex& input, int depth, bool* built,
-    const obs::TraceContext& trace, const topo::StopPredicate& stop) {
-  WFC_REQUIRE(depth >= 0, "SdsCache::chain_for: negative depth");
-  const std::uint64_t key = topo::complex_fingerprint(input);
-
-  // Pin (via the handle) the entry for this input, creating it if absent.
+template <typename Build>
+std::shared_ptr<const proto::SdsChain> SdsCache::resolve(
+    std::uint64_t key, std::uint64_t model_tag, int depth, const Build& build,
+    bool* built, const obs::TraceContext& trace) {
+  // Pin (via the handle) the entry for this key, creating it if absent.
   // While the handle lives, eviction is structurally unable to drop the
   // entry, so the build below can't orphan a tower mid-construction.
   Cache::Handle handle =
       cache_.get_or_insert(key, [] { return std::make_shared<BuildSlot>(); });
-  const std::shared_ptr<BuildSlot> slot = *handle;
-  {
-    std::lock_guard<std::mutex> reg_lock(registry_mu_);
-    registry_[key] = slot;
-  }
+  BuildSlot& slot = **handle;
 
-  // Build or extend under the per-entry lock: only same-input queries wait
-  // here, and exactly one of them does the subdivision work.  On exception
-  // (injected or genuine bad_alloc, or topo::BuildStopped) the handle unpins
-  // on unwind and the entry stays at its prior depth; the cache remains
-  // consistent.
+  // Build or extend under the per-entry lock: only same-key queries wait
+  // here, and exactly one of them does the work.  On exception (injected or
+  // genuine bad_alloc, or topo::BuildStopped) the handle unpins on unwind
+  // and the entry stays at its prior depth; the cache remains consistent.
   bool was_empty = false;
   bool did_build = false;
   bool from_store = false;
   std::shared_ptr<const proto::SdsChain> chain;
   {
-    std::lock_guard<std::mutex> build_lock(slot->build_mu);
+    std::lock_guard<std::mutex> build_lock(slot.build_mu);
     const auto build_start = trace.enabled()
                                  ? std::chrono::steady_clock::now()
                                  : std::chrono::steady_clock::time_point();
     // First touch in this process: adopt the persisted tower before even
     // considering a build.  An mmap'ed chain is NOT a build -- this is what
-    // keeps chain_builds == 0 across a warm restart.
-    if (slot->chain == nullptr && store_) {
-      if (auto loaded = store_->load(key)) {
-        slot->chain = std::move(loaded);
+    // keeps chain_builds == 0 across a warm restart.  The tag check inside
+    // load() keeps a colliding or mislabeled file from ever serving another
+    // model's tower.
+    if (slot.chain == nullptr && store_) {
+      if (auto loaded = store_->load(key, model_tag)) {
+        slot.chain = std::move(loaded);
         from_store = true;
       }
     }
-    was_empty = slot->chain == nullptr;
-    if (was_empty) {
+    was_empty = slot.chain == nullptr;
+    slot.model_tag = model_tag;
+    if (was_empty || slot.chain->depth() < depth) {
       if (options_.build_fault_hook) options_.build_fault_hook();
-      slot->chain = std::make_shared<proto::SdsChain>(input, depth, stop);
+      std::shared_ptr<const proto::SdsChain> deeper =
+          build(was_empty ? nullptr : slot.chain, depth);
+      WFC_CHECK(deeper != nullptr && deeper->depth() >= depth,
+                "SdsCache: builder returned a short chain");
+      slot.chain = std::move(deeper);
       did_build = true;
-    } else if (slot->chain->depth() < depth) {
-      if (options_.build_fault_hook) options_.build_fault_hook();
-      slot->chain =
-          std::make_shared<proto::SdsChain>(*slot->chain, depth, stop);
-      did_build = true;
+      if (store_) store_->publish(key, *slot.chain, model_tag);
     }
-    if (store_ && did_build) store_->publish(key, *slot->chain);
-    chain = slot->chain;
+    chain = slot.chain;
     if (trace.enabled()) {
-      // Span covers exactly the subdivision work (the build lock section);
+      // Span covers exactly the build work (the build lock section);
       // lock-wait and index bookkeeping are charged to the caller's view.
       if (did_build) {
         trace.complete(obs::SpanKind::kChainBuild, build_start,
@@ -119,7 +102,7 @@ std::shared_ptr<const proto::SdsChain> SdsCache::chain_for(
       }
     }
   }
-  *built = did_build;
+  if (built != nullptr) *built = did_build;
 
   if (!did_build) {
     hits_.inc();
@@ -138,58 +121,26 @@ std::shared_ptr<const proto::SdsChain> SdsCache::chain_for(
   return chain;
 }
 
+std::shared_ptr<const proto::SdsChain> SdsCache::chain_for(
+    const topo::ChromaticComplex& input, int depth, bool* built,
+    const obs::TraceContext& trace, const topo::StopPredicate& stop) {
+  WFC_REQUIRE(depth >= 0, "SdsCache::chain_for: negative depth");
+  return resolve(
+      topo::complex_fingerprint(input), /*model_tag=*/0, depth,
+      [&input, &stop](const std::shared_ptr<const proto::SdsChain>& prior,
+                      int d) {
+        return prior == nullptr
+                   ? std::make_shared<proto::SdsChain>(input, d, stop)
+                   : std::make_shared<proto::SdsChain>(*prior, d, stop);
+      },
+      built, trace);
+}
+
 std::shared_ptr<const proto::SdsChain> SdsCache::derived_chain_for(
     std::uint64_t key, std::uint64_t model_tag, int depth,
     const DerivedBuilder& build, bool* built) {
   WFC_REQUIRE(depth >= 0, "SdsCache::derived_chain_for: negative depth");
-  Cache::Handle handle =
-      cache_.get_or_insert(key, [] { return std::make_shared<BuildSlot>(); });
-  const std::shared_ptr<BuildSlot> slot = *handle;
-  {
-    std::lock_guard<std::mutex> reg_lock(registry_mu_);
-    registry_[key] = slot;
-  }
-
-  bool was_empty = false;
-  bool did_build = false;
-  bool from_store = false;
-  std::shared_ptr<const proto::SdsChain> chain;
-  {
-    std::lock_guard<std::mutex> build_lock(slot->build_mu);
-    if (slot->chain == nullptr && store_) {
-      // The tag check inside load() keeps a colliding or mislabeled file
-      // from ever serving another model's tower.
-      if (auto loaded = store_->load(key, model_tag)) {
-        slot->chain = std::move(loaded);
-        from_store = true;
-      }
-    }
-    was_empty = slot->chain == nullptr;
-    slot->model_tag = model_tag;
-    if (was_empty || slot->chain->depth() < depth) {
-      if (options_.build_fault_hook) options_.build_fault_hook();
-      slot->chain = build(was_empty ? nullptr : slot->chain, depth);
-      WFC_CHECK(slot->chain != nullptr && slot->chain->depth() >= depth,
-                "derived_chain_for: builder returned a short chain");
-      did_build = true;
-    }
-    if (store_ && did_build) store_->publish(key, *slot->chain, model_tag);
-    chain = slot->chain;
-  }
-  *built = did_build;
-
-  if (!did_build) {
-    hits_.inc();
-  } else if (was_empty) {
-    misses_.inc();
-  } else {
-    extensions_.inc();
-  }
-  if (from_store) store_hits_.inc();
-  cache_.update_weight(handle, chain_weight(*chain));
-  handle.release();
-  cache_.maybe_evict();
-  return chain;
+  return resolve(key, model_tag, depth, build, built, obs::TraceContext());
 }
 
 std::size_t SdsCache::warm() {
@@ -198,35 +149,28 @@ std::size_t SdsCache::warm() {
   for (const store::ChainStore::Entry& e : store_->list()) {
     Cache::Handle handle = cache_.get_or_insert(
         e.fingerprint, [] { return std::make_shared<BuildSlot>(); });
-    const std::shared_ptr<BuildSlot> slot = *handle;
-    {
-      std::lock_guard<std::mutex> reg_lock(registry_mu_);
-      registry_[e.fingerprint] = slot;
-    }
+    BuildSlot& slot = **handle;
     bool loaded = false;
+    std::size_t weight = 0;
     {
-      std::lock_guard<std::mutex> build_lock(slot->build_mu);
-      if (slot->chain == nullptr) {
+      std::lock_guard<std::mutex> build_lock(slot.build_mu);
+      if (slot.chain == nullptr) {
         // Restricted towers warm too: the inventory carries each file's
         // recorded tag, so the load's tag guard is satisfied.
         if (auto chain = store_->load(e.fingerprint, e.model_tag)) {
-          slot->chain = std::move(chain);
-          slot->model_tag = e.model_tag;
+          slot.chain = std::move(chain);
+          slot.model_tag = e.model_tag;
           loaded = true;
+          // Weigh from arena headers only; admission stays O(levels), the
+          // kernel pages the tower in on first real use.
+          weight = chain_weight(*slot.chain);
         }
       }
     }
     if (loaded) {
       ++admitted;
       store_hits_.inc();
-      // Weigh from arena headers only; admission stays O(levels), the
-      // kernel pages the tower in on first real use.
-      std::size_t w = 0;
-      {
-        std::lock_guard<std::mutex> build_lock(slot->build_mu);
-        if (slot->chain) w = chain_weight(*slot->chain);
-      }
-      cache_.update_weight(handle, w);
+      cache_.update_weight(handle, weight);
     }
     handle.release();
   }
@@ -236,26 +180,14 @@ std::size_t SdsCache::warm() {
 
 std::size_t SdsCache::publish_all() {
   if (!store_) return 0;
-  std::vector<std::pair<std::uint64_t, std::shared_ptr<BuildSlot>>> live;
-  {
-    std::lock_guard<std::mutex> reg_lock(registry_mu_);
-    for (auto it = registry_.begin(); it != registry_.end();) {
-      if (auto slot = it->second.lock()) {
-        live.emplace_back(it->first, std::move(slot));
-        ++it;
-      } else {
-        it = registry_.erase(it);  // tower evicted and gone; drop the stub
-      }
-    }
-  }
   std::size_t written = 0;
-  for (auto& [fp, slot] : live) {
+  cache_.for_each([&](std::uint64_t key,
+                      const std::shared_ptr<BuildSlot>& slot) {
     std::lock_guard<std::mutex> build_lock(slot->build_mu);
-    if (slot->chain &&
-        store_->publish(fp, *slot->chain, slot->model_tag)) {
+    if (slot->chain && store_->publish(key, *slot->chain, slot->model_tag)) {
       ++written;
     }
-  }
+  });
   return written;
 }
 

@@ -11,13 +11,17 @@
 // levels (SdsChain's prefix-sharing constructor), and re-caches the deeper
 // tower.
 //
+// Model-restricted towers (wfc::model, derived_chain_for) live in the same
+// index under a mixed key and go through the same entry path.
+//
 // Concurrency: the index and recency bookkeeping live in a wf::ClockCache
 // -- lock-free hash map, CLOCK eviction, pin/evict arbitration in one
-// atomic word -- so hits never serialize on a cache-wide mutex (the seed
-// design's `mu_` is gone).  The (potentially long) subdivision work still
-// happens under a per-entry mutex (BuildSlot::build_mu): queries over
-// distinct inputs never wait on each other, while concurrent queries over
-// the SAME input build the tower exactly once and share it.
+// atomic word -- so hits never take a cache-wide mutex; the ClockCache is
+// the only index (publish_all walks it with for_each).  The (potentially
+// long) subdivision work still happens under a per-entry mutex
+// (BuildSlot::build_mu): queries over distinct inputs never wait on each
+// other, while concurrent queries over the SAME input build the tower
+// exactly once and share it.
 //
 // Memory bound: entries are weighted by total vertex count across levels
 // (the dominant O(size) term); when the configured budget or entry count
@@ -32,6 +36,7 @@
 // shed(frac) evicts coldest-first until roughly `frac` of the resident
 // vertex weight is released, leaving hot entries in place -- graceful
 // degradation instead of clear()'s scorched earth.
+//
 // Persistence: when Options::store names a directory, the cache fronts a
 // store::ChainStore.  A first-touch miss consults the store before
 // subdividing (an mmap'ed hit counts as a cache hit + store_hit, NOT a
@@ -80,26 +85,19 @@ class SdsCache {
 
   /// Returns a chain for `input` with depth() >= depth.  Hits are lock-free
   /// on the index and never copy; misses build (or extend) under the entry
-  /// lock only.
+  /// lock only.  `*built` (when given) reports whether any subdivision work
+  /// was done (false = pure cache hit).  An enabled `trace` records a
+  /// chain_build span covering exactly the subdivision work under the
+  /// entry's build lock (arg = resulting chain weight in vertices), or a
+  /// cache_hit instant when the tower was already deep enough.  A build or
+  /// extension polls `stop` once per facet it subdivides; when it fires,
+  /// topo::BuildStopped propagates, the entry stays at its prior depth, and
+  /// nothing is counted or published (a twin query waiting on the entry
+  /// then builds the tower itself).
   std::shared_ptr<const proto::SdsChain> chain_for(
-      const topo::ChromaticComplex& input, int depth);
-
-  /// Like chain_for, but also reports whether any subdivision work was done
-  /// (false = pure cache hit).
-  std::shared_ptr<const proto::SdsChain> chain_for(
-      const topo::ChromaticComplex& input, int depth, bool* built);
-
-  /// Traced variant: records a chain_build span covering exactly the
-  /// subdivision work under the entry's build lock (arg = resulting chain
-  /// weight in vertices), or a cache_hit instant when the tower was already
-  /// deep enough.  A disabled context makes this identical to the overload
-  /// above.  A build or extension polls `stop` once per facet it
-  /// subdivides; when it fires, topo::BuildStopped propagates, the entry
-  /// stays at its prior depth, and nothing is counted or published (a twin
-  /// query waiting on the entry then builds the tower itself).
-  std::shared_ptr<const proto::SdsChain> chain_for(
-      const topo::ChromaticComplex& input, int depth, bool* built,
-      const obs::TraceContext& trace, const topo::StopPredicate& stop = {});
+      const topo::ChromaticComplex& input, int depth, bool* built = nullptr,
+      const obs::TraceContext& trace = {},
+      const topo::StopPredicate& stop = {});
 
   /// Builds a non-standard (derived) tower from `prior` (the cached chain
   /// so far, possibly null) to depth `depth`.  Must be a pure function of
@@ -115,8 +113,9 @@ class SdsCache {
   /// (tag 0 leaves the fingerprint unchanged, i.e. IS the full tower's
   /// key).  Store loads verify the recorded model_tag and publishes record
   /// it; builds and extensions go through `build` instead of plain
-  /// subdivision.  Hit/miss/extension/store counters are shared with the
-  /// full-tower path.
+  /// subdivision.  Both entry points run the same private core, so
+  /// hit/miss/extension/store counters are shared with the full-tower
+  /// path.
   std::shared_ptr<const proto::SdsChain> derived_chain_for(
       std::uint64_t key, std::uint64_t model_tag, int depth,
       const DerivedBuilder& build, bool* built);
@@ -131,10 +130,11 @@ class SdsCache {
   /// Returns chains admitted.  No-op without a store.
   std::size_t warm();
 
-  /// Publishes every resident chain to the store (the automatic
-  /// after-build publish normally keeps the store current; this catches
-  /// chains skipped by a byte budget that has since been raised, or a
-  /// store attached in a readonly race).  Returns files written.
+  /// Publishes every resident chain to the store under its model tag (the
+  /// automatic after-build publish normally keeps the store current; this
+  /// catches chains skipped by a byte budget that has since been raised, or
+  /// a store attached in a readonly race).  Evicted towers are not
+  /// written.  Returns files written.
   std::size_t publish_all();
 
   /// Pins the cached entry for `fingerprint` against eviction and shed()
@@ -169,6 +169,18 @@ class SdsCache {
 
   static std::size_t chain_weight(const proto::SdsChain& chain);
 
+  /// The one entry path behind chain_for and derived_chain_for: pins the
+  /// entry for `key` (creating it), and under its build lock adopts the
+  /// stored tower tagged `model_tag` on first touch, then builds or extends
+  /// it to `depth` via build(prior-or-null, depth) and publishes the
+  /// result under the same tag; counts the hit/miss/extension, re-weighs,
+  /// unpins and evicts.  `build` is a template parameter so the hit path
+  /// allocates nothing.
+  template <typename Build>
+  std::shared_ptr<const proto::SdsChain> resolve(
+      std::uint64_t key, std::uint64_t model_tag, int depth,
+      const Build& build, bool* built, const obs::TraceContext& trace);
+
   Options options_;
   Cache cache_;
   std::unique_ptr<store::ChainStore> store_;  // nullptr when disabled
@@ -178,14 +190,9 @@ class SdsCache {
   wf::Counter sheds_;
   wf::Counter store_hits_;
   // Operator pins: fingerprint -> live ClockCache pin.  Orthogonal to the
-  // transient build-time pins taken inside chain_for.
+  // transient build-time pins taken inside resolve().
   mutable std::mutex pins_mu_;
   std::unordered_map<std::uint64_t, Cache::Handle> pins_;
-  // Every fingerprint ever cached, for publish_all (the ClockCache has no
-  // iteration -- by design, its index is lock-free).  Weak: entries do not
-  // keep evicted towers alive.
-  std::mutex registry_mu_;
-  std::unordered_map<std::uint64_t, std::weak_ptr<BuildSlot>> registry_;
 };
 
 }  // namespace wfc::svc

@@ -332,7 +332,15 @@ SolveResult search_level(const Task& task, int level,
     return result;
   }
   std::optional<LevelRestriction> restriction;
-  if (options.restrictor) restriction = options.restrictor(*chain, level);
+  if (options.restrictor) {
+    try {
+      restriction = options.restrictor(*chain, level);
+    } catch (const topo::BuildStopped&) {
+      // The restriction build polls the same stop as the chain build.
+      result.status = Solvability::kCancelled;
+      return result;
+    }
+  }
   if (restriction.has_value()) {
     if (restriction->arena.num_facets() == 0) {
       // No admissible run reaches this level; the search over an empty

@@ -89,6 +89,8 @@ struct LevelRestriction {
 
 /// Supplies the restriction for one level of the (full) chain, or nullopt
 /// for "search the level unrestricted".  Must be pure per (chain, level).
+/// Like a ChainProvider, a restrictor that builds should poll
+/// build_stop(options) and may throw topo::BuildStopped (-> kCancelled).
 using LevelRestrictor =
     std::function<std::optional<LevelRestriction>(
         const proto::SdsChain& chain, int level)>;

@@ -25,6 +25,7 @@
 //     under churn still keeps its most recent tower.
 //   * shed(target): evict coldest-first until ~target weight is released.
 //   * clear(): drop every unpinned entry without counting evictions.
+//   * for_each(fn): visit every resident entry, pinned, in slot order.
 //
 // Handles returned by get/get_or_insert hold a pin: the entry cannot be
 // reclaimed while a handle lives, so callers may block on the payload's
@@ -261,6 +262,27 @@ class ClockCache {
       }
     }
     return removed;
+  }
+
+  /// Calls fn(key, payload) once for every resident entry, walking slots
+  /// the way clear() does.  Each entry is pinned under an epoch guard and
+  /// stays pinned (so it cannot be evicted) for the call; evict-claimed
+  /// entries are skipped.  No epoch guard is held while fn runs, so fn may
+  /// block.  Entries inserted or evicted during the walk may or may not be
+  /// visited.  Does not touch recency.
+  template <typename Fn>
+  void for_each(Fn&& fn) {
+    const std::size_t n = map_->slots();
+    for (std::size_t i = 0; i < n; ++i) {
+      Node* node = nullptr;
+      {
+        auto guard = Epoch::global().pin();
+        node = map_->peek(i);
+        if (node == nullptr || !try_pin(node->value)) continue;
+      }
+      Handle pinned(node, /*detached=*/false);
+      fn(std::as_const(node->key), node->value.payload);
+    }
   }
 
   [[nodiscard]] std::size_t size() const { return map_->size(); }

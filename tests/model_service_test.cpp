@@ -10,9 +10,11 @@
 // before wfc::model existed.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <map>
 #include <memory>
 #include <string>
 #include <vector>
@@ -26,6 +28,7 @@
 #include "tasks/canonical.hpp"
 #include "topology/complex.hpp"
 #include "topology/hash.hpp"
+#include "topology/subdivision.hpp"
 
 namespace wfc::svc {
 namespace {
@@ -377,6 +380,104 @@ TEST(StoreModelTags, RestartServesRestrictedTowersWithoutRebuilding) {
   EXPECT_FALSE(built);
   EXPECT_EQ(derived->arena(1).num_facets(), derived_facets);
   EXPECT_GE(cache.stats().store_hits, 1u);
+}
+
+TEST(StoreModelTags, PublishAllRewritesResidentTowersWithTheirTags) {
+  TempDir dir;
+  const topo::ChromaticComplex input = topo::base_simplex(2);
+  const topo::ChromaticComplex gone = topo::base_simplex(3);
+  const std::uint64_t base_fp = topo::complex_fingerprint(input);
+  const std::uint64_t gone_fp = topo::complex_fingerprint(gone);
+  const auto sync = model::Model::parse("t_resilient(0)");
+  const std::uint64_t key = model::mix_fingerprint(base_fp, sync->tag());
+
+  SdsCache::Options opts;
+  opts.store.dir = dir.path;
+  SdsCache cache(opts);
+  (void)cache.chain_for(gone, 0);  // the coldest entry: shed evicts it
+  const auto full = cache.chain_for(input, 1);
+  bool built = false;
+  (void)cache.derived_chain_for(
+      key, sync->tag(), 1,
+      [&](std::shared_ptr<const proto::SdsChain> prior, int depth) {
+        return model::restricted_tower(*full, depth, *sync, prior);
+      },
+      &built);
+  ASSERT_EQ(cache.shed(0.1), 1u);
+  ASSERT_EQ(cache.stats().entries, 2u);
+
+  // Lose every file the builds published, then rewrite from residency.
+  for (const auto& f : std::filesystem::directory_iterator(dir.path)) {
+    std::filesystem::remove(f.path());
+  }
+  EXPECT_EQ(cache.publish_all(), 2u);
+
+  store::ChainStore reopened({.dir = dir.path});
+  std::map<std::uint64_t, std::uint64_t> tags;
+  for (const auto& e : reopened.list()) tags[e.fingerprint] = e.model_tag;
+  EXPECT_EQ(tags, (std::map<std::uint64_t, std::uint64_t>{
+                      {base_fp, 0}, {key, sync->tag()}}));
+  EXPECT_EQ(tags.count(gone_fp), 0u) << "an evicted tower was published";
+  EXPECT_NE(reopened.load(key, sync->tag()), nullptr);
+  EXPECT_NE(reopened.load(base_fp), nullptr);
+}
+
+// ---------------------------------------------------------------------------
+// Cancellation: the model restriction polls the query's stop.
+// ---------------------------------------------------------------------------
+
+TEST(ModelCancellation, StoppedRestrictionAnswersCancelledAndKeepsTheEntry) {
+  // The restriction stops at its first poll; a predicate that never fires
+  // leaves the tower unchanged.
+  const proto::SdsChain chain(topo::base_simplex(2), 1);
+  const auto one = model::Model::parse("t_resilient(1)");
+  EXPECT_THROW(
+      model::restricted_tower(chain, 1, *one, nullptr, nullptr, nullptr,
+                              [] { return true; }),
+      topo::BuildStopped);
+  EXPECT_EQ(model::restrict_level(chain, 1, *one, [] { return false; })
+                .arena.num_facets(),
+            model::restrict_level(chain, 1, *one).arena.num_facets());
+
+  // Through the service: the full tower of consensus(2,16) is warm, so the
+  // first build the model query reaches is its restriction.  The fault hook
+  // flips every live token right before it (a pre-flipped token, from the
+  // restriction's point of view).
+  TempDir dir;
+  QueryService* self = nullptr;
+  std::atomic<bool> armed{false};
+  QueryService::Options options;
+  options.workers = 1;
+  options.cache.store.dir = dir.path;
+  options.cache.build_fault_hook = [&] {
+    if (armed.load()) self->cancel_all();
+  };
+  QueryService service(options);
+  self = &service;
+  const auto consensus = std::make_shared<task::ConsensusTask>(2, 16);
+  QueryOptions qo;
+  qo.max_level = 2;
+  ASSERT_EQ(service.submit(Query::solve(consensus, qo)).result.get().status,
+            Status::kOk);
+  const Query modeled(SolveRequest{consensus, one}, qo);
+  const CacheStats before = service.cache().stats();
+  const std::uint64_t publishes = service.cache().store_stats().publishes;
+
+  armed = true;
+  const QueryResult stopped = service.submit(modeled).result.get();
+  armed = false;
+  EXPECT_EQ(stopped.status, Status::kCancelled);
+  EXPECT_EQ(stopped.solve.status, Solvability::kCancelled);
+  const CacheStats after = service.cache().stats();
+  EXPECT_EQ(after.chain_builds(), before.chain_builds());
+  EXPECT_EQ(after.resident_vertices, before.resident_vertices);
+  EXPECT_EQ(service.cache().store_stats().publishes, publishes);
+
+  // The entry stayed unbuilt; a later query builds it and answers.
+  const QueryResult later = service.submit(modeled).result.get();
+  EXPECT_EQ(later.status, Status::kOk);
+  EXPECT_EQ(later.solve.status, Solvability::kUnsolvable);
+  EXPECT_GT(service.cache().stats().chain_builds(), before.chain_builds());
 }
 
 }  // namespace

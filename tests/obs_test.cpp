@@ -1,8 +1,7 @@
-// Tests for the wfc::obs observability layer (PR 4): the metrics registry,
-// the lock-free trace ring, the Observer facade, and the JSONL v2 protocol
-// that exposes them -- including the golden-file round trips the issue asks
-// for (new envelope, legacy-envelope flag, legacy "task" routing, and the
-// metrics / trace ops).
+// Tests for the wfc::obs observability layer: the metrics registry, the
+// lock-free trace ring, the Observer facade, and the JSONL v2 protocol that
+// exposes them -- including golden-file round trips of the envelope,
+// op-less request lines, and the metrics / trace ops.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -347,7 +346,7 @@ TEST(ServiceObs, DisabledObserverKeepsRegistryEmptyAndTracesOff) {
 }
 
 // ---------------------------------------------------------------------------
-// JSONL round trips: envelopes, legacy routing, metrics / trace ops.
+// JSONL round trips: the envelope, op-less lines, metrics / trace ops.
 
 std::vector<std::string> lines_of(const std::string& text) {
   std::vector<std::string> lines;
@@ -367,33 +366,9 @@ int run_serve(const std::string& input, const svc::ServeConfig& config,
   return errors;
 }
 
-TEST(JsonlRoundTrip, LegacyEnvelopeAvailableViaFlag) {
-  svc::ServeConfig config;
-  config.stats_at_eof = false;
-  // Since PR 5 the v2 envelope is the default; --legacy flips this flag.
-  ASSERT_FALSE(config.legacy_envelope);
-  config.legacy_envelope = true;
-  std::vector<std::string> out;
-  const int errors = run_serve(
-      R"({"op":"solve","task":"consensus","procs":2,"values":2})"
-      "\n"
-      R"({"op":"solve","task":"approx","procs":2,"grid":3})"
-      "\n",
-      config, &out, nullptr);
-  EXPECT_EQ(errors, 0);
-  ASSERT_EQ(out.size(), 2u);
-  // Legacy: the DOMAIN verdict rides in "status", no "verdict" key.
-  const auto first = svc::parse_flat_json(out[0]);
-  EXPECT_EQ(first.at("status"), "UNSOLVABLE");
-  EXPECT_EQ(first.count("verdict"), 0u);
-  const auto second = svc::parse_flat_json(out[1]);
-  EXPECT_EQ(second.at("status"), "SOLVABLE");
-}
-
 TEST(JsonlRoundTrip, V2EnvelopeSplitsTransportStatusFromVerdict) {
   svc::ServeConfig config;
   config.stats_at_eof = false;
-  config.legacy_envelope = false;
   std::vector<std::string> out;
   const int errors = run_serve(
       R"({"id":"q1","op":"solve","task":"consensus","procs":2,"values":2})"
@@ -418,34 +393,42 @@ TEST(JsonlRoundTrip, V2EnvelopeSplitsTransportStatusFromVerdict) {
   const auto q3 = svc::parse_flat_json(out[2]);
   EXPECT_EQ(q3.at("status"), "ok");
   ASSERT_EQ(q3.count("verdict"), 1u);
-  // Error lines are identical in both envelopes: lowercase taxonomy.
+  // Error lines carry the lowercase taxonomy and no verdict.
   const auto q4 = svc::parse_flat_json(out[3]);
   EXPECT_EQ(q4.at("status"), "invalid_argument");
   EXPECT_EQ(q4.count("verdict"), 0u);
 }
 
-TEST(JsonlRoundTrip, LegacyTaskLinesRouteWithOneDeprecationNote) {
+TEST(JsonlRoundTrip, OpLessLineAnswersInvalidArgumentWithLineAndId) {
   svc::ServeConfig config;
   config.stats_at_eof = false;
   std::vector<std::string> out;
   std::string err;
   const int errors = run_serve(
-      R"({"task":"consensus","procs":2,"values":2})"
+      R"({"id":"x","task":"consensus","procs":2,"values":2})"
       "\n"
       R"({"task":"approx","procs":2,"grid":3})"
+      "\n"
+      R"({"id":"y","op":"solve","task":"approx","procs":2,"grid":3})"
       "\n",
       config, &out, &err);
-  EXPECT_EQ(errors, 0);
-  ASSERT_EQ(out.size(), 2u);
-  EXPECT_EQ(svc::parse_flat_json(out[0]).at("verdict"), "UNSOLVABLE");
-  EXPECT_EQ(svc::parse_flat_json(out[1]).at("verdict"), "SOLVABLE");
-  // The deprecation note prints once per run, not once per line.
-  std::size_t notes = 0;
-  for (std::size_t pos = err.find("deprecated"); pos != std::string::npos;
-       pos = err.find("deprecated", pos + 1)) {
-    ++notes;
-  }
-  EXPECT_EQ(notes, 1u) << err;
+  EXPECT_EQ(errors, 2);
+  ASSERT_EQ(out.size(), 3u);
+  const auto x = svc::parse_flat_json(out[0]);
+  EXPECT_EQ(x.at("id"), "x");
+  EXPECT_EQ(x.at("status"), "invalid_argument");
+  EXPECT_EQ(x.at("line"), "1");
+  EXPECT_EQ(x.at("error"), R"(missing field "op")");
+  EXPECT_EQ(x.count("verdict"), 0u);
+  const auto anon = svc::parse_flat_json(out[1]);
+  EXPECT_EQ(anon.count("id"), 0u);
+  EXPECT_EQ(anon.at("status"), "invalid_argument");
+  EXPECT_EQ(anon.at("line"), "2");
+  // The loop keeps serving after the rejected lines.
+  const auto y = svc::parse_flat_json(out[2]);
+  EXPECT_EQ(y.at("id"), "y");
+  EXPECT_EQ(y.at("verdict"), "SOLVABLE");
+  EXPECT_TRUE(err.empty()) << err;
 }
 
 TEST(JsonlRoundTrip, MetricsOpReconcilesAndWritesPrometheusFile) {

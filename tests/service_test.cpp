@@ -675,7 +675,7 @@ TEST(RandomizedStress, MixedWorkloadIsDeterministicUnderSeed) {
 
 TEST(Frontend, RejectsUnknownOpPerLine) {
   std::istringstream in(
-      R"({"id":"good","task":"approx","procs":2,"grid":3})" "\n"
+      R"({"id":"good","op":"solve","task":"approx","procs":2,"grid":3})" "\n"
       R"({"id":"bad","op":"frobnicate","task":"consensus"})" "\n"
       R"({"op":"solve","id":"after","task":"approx","procs":2,"grid":3})"
       "\n");
@@ -735,9 +735,9 @@ TEST(Frontend, ServesABatchInOrder) {
   std::istringstream in(
       "# comment\n"
       "\n"
-      R"({"id":"q1","task":"consensus","procs":2,"values":2})" "\n"
-      R"({"id":"q2","task":"approx","procs":2,"grid":3})" "\n"
-      R"({"id":"q3","task":"approx","procs":2,"grid":3})" "\n"
+      R"({"id":"q1","op":"solve","task":"consensus","procs":2,"values":2})" "\n"
+      R"({"id":"q2","op":"solve","task":"approx","procs":2,"grid":3})" "\n"
+      R"({"id":"q3","op":"solve","task":"approx","procs":2,"grid":3})" "\n"
       R"({"nonsense":true})" "\n"
       R"({"op":"emulate","procs":2,"shots":1})" "\n"
       R"({"op":"stats"})" "\n");

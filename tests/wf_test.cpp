@@ -3,7 +3,8 @@
 // hash map (exactness, same-key convergence, the announce/helping path,
 // tombstone reuse), the CLOCK cache (hit+miss reconciliation under
 // multi-threaded churn, pin-skipping eviction, coldest-first victim
-// choice, shed/clear, detached-handle overflow), and the sharded stats
+// choice, shed/clear, detached-handle overflow, the pinned for_each walk
+// racing eviction), and the sharded stats
 // primitives (fold exactness once writers are quiescent).
 //
 // Thread counts deliberately oversubscribe small machines: the interesting
@@ -434,6 +435,77 @@ TEST(WfClockCache, ConcurrentChurnReclaimsEvictedNodes) {
   // churn must now be reclaimable.
   for (int i = 0; i < 8; ++i) Epoch::global().collect();
   EXPECT_EQ(Epoch::global().pending(), 0u);
+}
+
+TEST(WfClockCache, ForEachVisitsEveryResidentEntryOnce) {
+  IntCache cache;
+  IntCache::Handle held = cache.get_or_insert(0, [] { return 7u; });
+  for (std::uint64_t k = 1; k < 20; ++k) {
+    (void)cache.get_or_insert(k, [&] { return k + 7; });
+  }
+  const std::uint64_t lookups = cache.hits() + cache.misses();
+  std::vector<int> visits(20, 0);
+  cache.for_each([&](std::uint64_t key, std::uint64_t& value) {
+    ASSERT_LT(key, 20u);
+    EXPECT_EQ(value, key + 7);
+    ++visits[key];
+  });
+  for (std::uint64_t k = 0; k < 20; ++k) {
+    EXPECT_EQ(visits[k], 1) << "key " << k;
+  }
+  EXPECT_EQ(cache.hits() + cache.misses(), lookups)
+      << "a walk is not a lookup";
+}
+
+TEST(WfClockCache, ForEachPinsTheVisitedEntryAndSkipsEvictedOnes) {
+  IntCache cache(IntCache::Options{.keep_hottest = false});
+  for (std::uint64_t k = 0; k < 10; ++k) {
+    (void)cache.get_or_insert(k, [&] { return k; });
+  }
+  // The first visit evicts everything evictable: only the entry the walk
+  // holds pinned survives, and the walk never reaches an evicted one.
+  std::vector<std::uint64_t> seen;
+  cache.for_each([&](std::uint64_t key, std::uint64_t&) {
+    seen.push_back(key);
+    if (seen.size() == 1) cache.shed_release(~std::size_t{0});
+  });
+  ASSERT_EQ(seen.size(), 1u);
+  EXPECT_EQ(cache.evictions(), 9u);
+  EXPECT_EQ(cache.size(), 1u);
+  EXPECT_TRUE(cache.get(seen[0]));
+}
+
+TEST(WfClockCache, ForEachRacesEvictionSafely) {
+  // Walks run while writers churn a small cache, so entries are claimed
+  // and reclaimed under the walk; every visited payload must be intact.
+  // The TSan job runs this too.
+  IntCache cache(IntCache::Options{.max_entries = 16, .segments = 4});
+  std::atomic<bool> done{false};
+  std::vector<std::thread> writers;
+  for (int t = 0; t < 3; ++t) {
+    writers.emplace_back([&, t] {
+      Rng rng(test_seed(0xf0eau) + static_cast<std::uint64_t>(t));
+      for (int i = 0; i < 6'000; ++i) {
+        const std::uint64_t key = rng.below(256);
+        (void)cache.get_or_insert(key, [&] { return key + 7; });
+      }
+    });
+  }
+  std::thread walker([&] {
+    while (!done.load(std::memory_order_acquire)) {
+      cache.for_each([](std::uint64_t key, std::uint64_t& value) {
+        EXPECT_EQ(value, key + 7);
+      });
+    }
+  });
+  for (auto& w : writers) w.join();
+  done.store(true, std::memory_order_release);
+  walker.join();
+  EXPECT_GT(cache.evictions(), 0u);
+  // Quiescent again: the walk sees exactly the resident entries.
+  std::size_t count = 0;
+  cache.for_each([&](std::uint64_t, std::uint64_t&) { ++count; });
+  EXPECT_EQ(count, cache.size());
 }
 
 // ---------------------------------------------------------------------------
